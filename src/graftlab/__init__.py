@@ -21,6 +21,7 @@ from .annuli import (
     from_log_coords,
     grafting_sector_angles,
     modulus,
+    separation_factor,
     standard_collar_modulus,
     to_log_coords,
 )
@@ -35,7 +36,7 @@ from .qcmaps import (
     shearing_map,
     twist_map,
 )
-from .beltrami import ACTIVE_KERNEL, BeltramiEstimate, beltrami_estimate
+from .beltrami import BeltramiEstimate, beltrami_estimate
 from .dilatation import (
     ComparisonBudget,
     DilatationBudget,
@@ -59,7 +60,6 @@ from .grafting import (
     graft_factors,
     graft_length_bounds,
     iteration_distance_bound,
-    separation_factor,
     single_curve_graft_bounds,
     split_sum,
     weighted_sum,

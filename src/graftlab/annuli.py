@@ -31,6 +31,7 @@ __all__ = [
     "extended_cylinder_modulus",
     "grafting_sector_angles",
     "cylinder_boundary_distance",
+    "separation_factor",
     "standard_collar_modulus",
 ]
 
@@ -175,13 +176,21 @@ def cylinder_boundary_distance(l: float, t: float) -> float:
     return math.log(math.cos(half) / math.sin(half))
 
 
-def standard_collar_modulus(l: float) -> float:
-    """Modulus of the standard collar around a geodesic of length l.
+def separation_factor(l: float) -> float:
+    """Length-retention factor K(l) for curves disjoint from the grafted multicurve.
 
-    Mod(A) = pi * (1 - (4/pi) arctan((e^{l/2} - 1)/(e^{l/2} + 1))) / l,
-    which coincides with 2 theta(l) / l.
+    K(l) = 1 - (4/pi) arctan((e^{l/2} - 1)/(e^{l/2} + 1)) = 2 theta(l) / pi;
+    the grafted length satisfies K(l) * l <= l' <= l.
     """
     if not l > 0.0:
         raise ValueError(f"l must be positive, got {l!r}")
-    k = 1.0 - (4.0 / math.pi) * math.atan(math.tanh(0.25 * l))
-    return math.pi * k / l
+    return 1.0 - (4.0 / math.pi) * math.atan(math.tanh(0.25 * l))
+
+
+def standard_collar_modulus(l: float) -> float:
+    """Modulus of the standard collar around a geodesic of length l.
+
+    Mod(A) = pi * K(l) / l with K the separation factor, which coincides
+    with 2 theta(l) / l.
+    """
+    return math.pi * separation_factor(l) / l

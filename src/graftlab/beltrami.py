@@ -1,62 +1,56 @@
-"""Numerical Beltrami-coefficient estimation on sampled annulus maps.
-
-The derivative kernel exists twice: a Cython extension for speed and a
-numpy fallback with the identical contract.  Selection happens at import
-time; set GRAFTLAB_KERNEL=python (or =compiled) to force one side.
-``benchmarks/bench_beltrami.py`` compares the two.
-"""
+"""Numerical Beltrami-coefficient estimation on sampled annulus maps."""
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels_py
 from .errors import GridError, NotSensePreservingError
 
-__all__ = [
-    "ACTIVE_KERNEL",
-    "BeltramiEstimate",
-    "beltrami_estimate",
-    "convergence_order",
-    "available_kernels",
-]
+__all__ = ["BeltramiEstimate", "beltrami_estimate", "convergence_order"]
 
 MIN_LATTICE = 33
 
 
-def _select_kernel():
-    forced = os.environ.get("GRAFTLAB_KERNEL", "").strip().lower()
-    if forced == "python":
-        return _kernels_py
-    try:
-        from . import _kernels  # compiled extension, absent on pure installs
-    except ImportError:
-        if forced == "compiled":
-            raise ImportError(
-                "GRAFTLAB_KERNEL=compiled but the graftlab._kernels extension is not built"
-            )
-        return _kernels_py
-    return _kernels
+def _abs_mu(w: np.ndarray, dt: float, dx: float, winding: int) -> np.ndarray:
+    """Pointwise |mu| = |w_t + i w_x| / |w_t - i w_x| of a lattice-sampled map.
 
+    w holds the map on t_i = i * dt, x_j = j * dx (x cyclic with period 1),
+    lifted to the x-universal cover, so crossing the seam adds 1j * winding.
+    Stencils: central differences in the interior, second-order one-sided at
+    the two t-boundaries, cyclic central differences in x; all are O(h^2).
+    The common factor 1/2 of the two Wirtinger derivatives cancels exactly
+    in the quotient and is left out.
+    """
+    w = np.ascontiguousarray(w, dtype=np.complex128)
 
-_kernel = _select_kernel()
-ACTIVE_KERNEL: str = _kernel.KERNEL_NAME
+    w_t = np.empty_like(w)
+    np.subtract(w[2:, :], w[:-2, :], out=w_t[1:-1, :])
+    w_t[0, :] = -3.0 * w[0, :] + 4.0 * w[1, :] - w[2, :]
+    w_t[-1, :] = 3.0 * w[-1, :] - 4.0 * w[-2, :] + w[-3, :]
+    w_t /= 2.0 * dt
 
+    period = 1j * float(winding)
+    w_x = np.empty_like(w)
+    np.subtract(w[:, 2:], w[:, :-2], out=w_x[:, 1:-1])
+    w_x[:, 0] = w[:, 1] - (w[:, -1] - period)
+    w_x[:, -1] = (w[:, 0] + period) - w[:, -2]
+    w_x /= 2.0 * dx
 
-def available_kernels() -> dict[str, object]:
-    """Mapping kernel name -> module, for benchmarks and cross-checks."""
-    kernels = {_kernels_py.KERNEL_NAME: _kernels_py}
-    try:
-        from . import _kernels
-
-        kernels[_kernels.KERNEL_NAME] = _kernels
-    except ImportError:
-        pass
-    return kernels
+    w_x *= 1j
+    mu = w_t + w_x
+    w_t -= w_x
+    del w_x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(mu, w_t, out=mu)
+    abs_mu = np.abs(mu)
+    # A vanishing holomorphic derivative means the map degenerates there;
+    # surface it as |mu| = inf rather than NaN so callers see the failure.
+    if not np.isfinite(abs_mu.max()):
+        abs_mu[~np.isfinite(abs_mu)] = np.inf
+    return abs_mu
 
 
 @dataclass(frozen=True)
@@ -68,7 +62,6 @@ class BeltramiEstimate:
     sup_k: float
     n_t: int
     n_x: int
-    kernel: str
 
     @property
     def mu_spread(self) -> float:
@@ -76,7 +69,7 @@ class BeltramiEstimate:
         return float(self.abs_mu.max() - self.abs_mu.min())
 
 
-def beltrami_estimate(grid_map, kernel=None) -> BeltramiEstimate:
+def beltrami_estimate(grid_map) -> BeltramiEstimate:
     """Estimate the Beltrami field and sup K of a GridMap.
 
     Wirtinger derivatives are taken by finite differences in logarithmic
@@ -91,9 +84,7 @@ def beltrami_estimate(grid_map, kernel=None) -> BeltramiEstimate:
             f"lattice {n_t}x{n_x} below the minimum {MIN_LATTICE} per axis; "
             "central differences would not be meaningful"
         )
-    mod = _kernel if kernel is None else kernel
-    mu = mod.wirtinger_mu(w, grid_map.dt, grid_map.dx, grid_map.winding)
-    abs_mu = np.abs(mu)
+    abs_mu = _abs_mu(w, grid_map.dt, grid_map.dx, grid_map.winding)
     sup = float(abs_mu.max())
     if not sup < 1.0:
         i, j = np.unravel_index(int(abs_mu.argmax()), abs_mu.shape)
@@ -107,7 +98,6 @@ def beltrami_estimate(grid_map, kernel=None) -> BeltramiEstimate:
         sup_k=(1.0 + sup) / (1.0 - sup),
         n_t=n_t,
         n_x=n_x,
-        kernel=mod.KERNEL_NAME,
     )
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dynamics
-from .beltrami import ACTIVE_KERNEL, beltrami_estimate, convergence_order
+from .beltrami import MIN_LATTICE, beltrami_estimate, convergence_order
 from .errors import GraftLabError, ScenarioError
 from .qcmaps import BoundaryDistortion, scaling_map, shearing_map, twist_map
 from .report import write_csv, write_json
@@ -51,8 +51,7 @@ def _cmd_verify(args) -> int:
         margin = "" if r.margin is None else f"  margin={r.margin:.3e}"
         print(f"[{status}] {r.name}{margin}")
     print(
-        f"{len(results) - len(failed)}/{len(results)} checks passed "
-        f"({elapsed:.2f}s, kernel={ACTIVE_KERNEL})"
+        f"{len(results) - len(failed)}/{len(results)} checks passed ({elapsed:.2f}s)"
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -193,18 +192,32 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _param(params: dict, name: str, default: float | None = None) -> float:
+    """Numeric map parameter params[name]; a missing or non-numeric one is a spec error."""
+    if name not in params:
+        if default is None:
+            raise ScenarioError(f"map spec is missing params.{name}")
+        return default
+    try:
+        return float(params[name])
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(
+            f"map spec params.{name} must be a number, got {params[name]!r}"
+        ) from exc
+
+
 def _build_map(kind: str, params: dict, lattice: int):
     if kind == "twist":
-        return twist_map(float(params["a"]), float(params["k"]), n_t=lattice, n_x=lattice)
+        return twist_map(_param(params, "a"), _param(params, "k"), n_t=lattice, n_x=lattice)
     if kind == "scaling":
-        return scaling_map(float(params["a"]), float(params["b"]), n_t=lattice, n_x=lattice)
+        return scaling_map(_param(params, "a"), _param(params, "b"), n_t=lattice, n_x=lattice)
     if kind == "shear":
-        amp = float(params.get("amplitude", 0.1))
+        amp = _param(params, "amplitude", 0.1)
         dist = BoundaryDistortion.from_function(
             lambda x: x + amp * np.sin(2.0 * np.pi * x) / (2.0 * np.pi),
             derivative=lambda x: 1.0 + amp * np.cos(2.0 * np.pi * x),
         )
-        return shearing_map(float(params["a"]), dist, n_t=lattice, n_x=lattice)
+        return shearing_map(_param(params, "a"), dist, n_t=lattice, n_x=lattice)
     raise ScenarioError(f"unknown map kind {kind!r}; choose twist, scaling or shear")
 
 
@@ -217,7 +230,15 @@ def _cmd_qc_check(args) -> int:
         raise ScenarioError("map spec must be a JSON object with a 'kind' field")
     kind = spec["kind"]
     params = spec.get("params", {})
-    lattices = [int(n) for n in spec.get("lattices", [args.lattice])]
+    if not isinstance(params, dict):
+        raise ScenarioError(f"map spec params must be a JSON object, got {params!r}")
+    lattices = spec.get("lattices", [args.lattice])
+    if not isinstance(lattices, list) or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= MIN_LATTICE for n in lattices
+    ):
+        raise ScenarioError(
+            f"lattices must be a list of integers >= {MIN_LATTICE}, got {lattices!r}"
+        )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -253,7 +274,6 @@ def _cmd_qc_check(args) -> int:
     report = {
         "tool": "graftlab",
         "version": __version__,
-        "kernel": ACTIVE_KERNEL,
         "map": {"kind": kind, "params": params},
         "lattices": lattices,
         "series": series,
@@ -266,7 +286,7 @@ def _cmd_qc_check(args) -> int:
             o is None for o in report["observed_orders"]
         )
     write_json(out_dir / "qc_report.json", report)
-    print(f"wrote {out_dir / 'qc_report.json'} (kernel={ACTIVE_KERNEL})")
+    print(f"wrote {out_dir / 'qc_report.json'}")
     return 0
 
 

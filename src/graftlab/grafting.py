@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import GeometryError, ShortnessError
 from .hypgeom import annulus_angle, collar_angle, collar_width, freehomotopy_distance
-from .annuli import cylinder_boundary_distance
+from .annuli import cylinder_boundary_distance, separation_factor
 
 __all__ = [
     "Role",
@@ -27,7 +27,6 @@ __all__ = [
     "GraftFactors",
     "graft_factors",
     "single_curve_graft_bounds",
-    "separation_factor",
     "RadiusBound",
     "bounding_radius",
     "BoundingModuli",
@@ -163,17 +162,6 @@ def single_curve_graft_bounds(l: float, t: float) -> LengthInterval:
     """Grafted-length enclosure for one curve of exact length l and weight t."""
     f = graft_factors(l, t)
     return LengthInterval(f.lower * l, f.upper * l)
-
-
-def separation_factor(l: float) -> float:
-    """Length-retention factor K(l) for curves disjoint from the grafted multicurve.
-
-    K(l) = 1 - (4/pi) arctan((e^{l/2} - 1)/(e^{l/2} + 1)) = 2 theta(l) / pi;
-    the grafted length satisfies K(l) * l <= l' <= l.
-    """
-    if not l > 0.0:
-        raise ValueError(f"l must be positive, got {l!r}")
-    return 1.0 - (4.0 / math.pi) * math.atan(math.tanh(0.25 * l))
 
 
 @dataclass(frozen=True)

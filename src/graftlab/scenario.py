@@ -1,7 +1,7 @@
 """Scenario files: JSON schema validation and loading.
 
 A scenario declares curves with roles, initial length intervals, the
-lamination weights, a run mode and optional constants/tolerance overrides.
+lamination weights, a run mode and optional constant overrides.
 Constants resolve in three layers: built-in defaults, then the JSON file
 named by the GRAFTLAB_CONSTANTS environment variable, then the scenario's
 own ``constants`` block.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -40,8 +40,6 @@ class Scenario:
     steps: int
     s_values: tuple[float, ...]
     constants: Constants
-    lattice: int
-    tolerances: dict[str, float] = field(default_factory=dict)
     source: str = ""
 
 
@@ -136,7 +134,5 @@ def load_scenario(path) -> Scenario:
         steps=steps,
         s_values=s_values,
         constants=constants,
-        lattice=int(raw.get("lattice", 129)),
-        tolerances=dict(raw.get("tolerances", {})),
         source=str(path),
     )

@@ -313,7 +313,7 @@ def suite_grafting(lattice: int, rng, tolerances) -> list[CheckResult]:
     )
 
     ks = np.linspace(1e-4, 0.5, 500)
-    k_vals = np.array([grafting.separation_factor(float(v)) for v in ks])
+    k_vals = np.array([annuli.separation_factor(float(v)) for v in ks])
     margin = float(np.min(k_vals - 1.0 / (1.0 + ks)))
     out.append(
         CheckResult(

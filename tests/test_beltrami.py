@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graftlab import NotSensePreservingError, beltrami_estimate, twist_map
-from graftlab.beltrami import available_kernels, convergence_order
+from graftlab.beltrami import convergence_order
 from graftlab.errors import GridError
 from graftlab.qcmaps import GridMap
 
@@ -76,22 +76,3 @@ class TestConvergence:
         orders = convergence_order([4e-4, 1e-4], 1.0)
         assert orders[0] == pytest.approx(2.0)
 
-
-class TestKernels:
-    def test_kernels_agree_to_machine_precision(self):
-        kernels = available_kernels()
-        if "compiled" not in kernels:
-            pytest.skip("compiled kernel not built")
-        m = wave_map(65)
-        mu_np = kernels["numpy"].wirtinger_mu(m.samples, m.dt, m.dx, m.winding)
-        mu_cy = kernels["compiled"].wirtinger_mu(m.samples, m.dt, m.dx, m.winding)
-        # Same stencils and operation order; only complex-division rounding
-        # may differ between the two implementations.
-        np.testing.assert_allclose(np.abs(mu_cy - mu_np), 0.0, atol=5e-15)
-
-    def test_kernel_selection_override(self):
-        m = twist_map(1.0, 2.0, n_t=33, n_x=33)
-        for kernel in available_kernels().values():
-            est = beltrami_estimate(m.grid, kernel=kernel)
-            assert est.sup_k == pytest.approx(m.analytic_k, rel=1e-12)
-            assert est.kernel == kernel.KERNEL_NAME

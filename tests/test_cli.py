@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -222,9 +223,72 @@ class TestQcCheckCommand:
             == 2
         )
 
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"kind": "twist", "params": {"a": 1.0}}, "params.k"),
+            ({"kind": "twist", "params": {"a": 1.0, "k": 2.0}, "lattices": ["x"]}, "lattices"),
+        ],
+    )
+    def test_malformed_spec_exit_2(self, tmp_path, capsys, spec, field):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["qc-check", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_unknown_kind_exit_2(self, tmp_path):
         spec = tmp_path / "unknown.json"
         spec.write_text(json.dumps({"kind": "mystery"}))
         assert (
             main(["qc-check", "--scenario", str(spec), "--out", str(tmp_path)]) == 2
         )
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenOutputs:
+    """SHA-256 digests of report files, frozen before the Wirtinger kernel was
+    rewritten; any change to the kernel's floating-point operations, the map
+    sampling or the serializers shows up here as a digest mismatch.
+
+    The qc_report.json digests are those of the earlier reports with their
+    "kernel" key removed.
+    """
+
+    SHEAR_SPEC = {"kind": "shear", "params": {"a": 2.0, "amplitude": 0.3}, "lattices": [33, 65]}
+
+    QC_TWIST = {
+        "mu_33.csv": "db85b6c259a88dd439a263a250cf70bc97cf3a599383f45cff1385407340763a",
+        "mu_65.csv": "7dbe9a8376ac775bb06d804a0bf0794ed66ce0342916158b2c24451f7fce80b1",
+        "mu_129.csv": "1987edf511d89d697164a2e015dd4acf5e2f48d495000e43e9cdff892060883c",
+        "qc_report.json": "fd7d7b0f48e0cdb2047053e33d7fc5fab2af0993bad50b2dcd8e466fd22a2865",
+    }
+    QC_SHEAR = {
+        "mu_33.csv": "11b0a0ecbc12526a28371aba52f35aeea9a5603a20c08ba0bb485474be189814",
+        "mu_65.csv": "42da1af35b8ba0d24c800cd4015527147e5626f61f9b549b2e4fa7ee34ec8245",
+        "qc_report.json": "01725107be4e5b9ddddb6593e1a9cc30ae1cf0dc324a8092e84003bac8d65ce8",
+    }
+    VERIFY_ALL = "50da3f424034bf0bb722709345f0d4b42395d1a5d329ec4a61c9f6331b49ea59"
+
+    @pytest.fixture(autouse=True)
+    def _default_constants(self, monkeypatch):
+        monkeypatch.delenv("GRAFTLAB_CONSTANTS", raising=False)
+
+    def test_qc_twist_refinement_tables(self, tmp_path):
+        scenario = SCENARIOS / "qc_twist_refinement.json"
+        assert main(["qc-check", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
+        assert {name: sha256(tmp_path / name) for name in self.QC_TWIST} == self.QC_TWIST
+
+    def test_qc_shear_tables(self, tmp_path):
+        spec = tmp_path / "shear.json"
+        spec.write_text(json.dumps(self.SHEAR_SPEC))
+        out = tmp_path / "out"
+        assert main(["qc-check", "--scenario", str(spec), "--out", str(out)]) == 0
+        assert {name: sha256(out / name) for name in self.QC_SHEAR} == self.QC_SHEAR
+
+    def test_verify_all_report(self, tmp_path):
+        code = main(["verify", "all", "--lattice", "65", "--seed", "0", "--out", str(tmp_path)])
+        assert code == 0
+        assert sha256(tmp_path / "verify_all.json") == self.VERIFY_ALL
