@@ -56,7 +56,6 @@ from .grafting import (
     bounding_annulus_moduli,
     bounding_radius,
     collar_containment_check,
-    disjoint_length_bounds,
     graft_factors,
     graft_length_bounds,
     iteration_distance_bound,

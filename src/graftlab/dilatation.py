@@ -17,6 +17,7 @@ from .config import DEFAULT_CONSTANTS, Constants
 from .errors import GeometryError, ShortnessError
 from .hypgeom import collar_angle
 from .grafting import bounding_annulus_moduli, bounding_radius, single_curve_graft_bounds
+from .qcmaps import twist_dilatation_excess
 
 __all__ = [
     "boundary_lipschitz_bound",
@@ -62,7 +63,7 @@ def twist_amount_bound(mod_c1: float, mod_c2: float) -> float:
 def _untwist_bound_from_ratio_sq(l_ratio_sq: float) -> float:
     if not l_ratio_sq > 1.0:
         raise GeometryError(f"untwist bound needs modulus ratio^2 > 1, got {l_ratio_sq!r}")
-    return 2.0 / (math.sqrt(1.0 + 4.0 / (l_ratio_sq - 1.0)) - 1.0)
+    return twist_dilatation_excess(4.0 / (l_ratio_sq - 1.0))
 
 
 def untwist_dilatation_bound(mod_c1: float, mod_c2: float) -> float:
@@ -218,7 +219,7 @@ def comparison_budget(
     # Shearing realizes the rho-bilipschitz boundary distortion.
     shearing_entry = constants.C_shear * (rho - 1.0)
     # Unit twist to pin a boundary point before unshearing.
-    unit_twist_entry = 2.0 / (math.sqrt(1.0 + 4.0 * moduli.mod_c2**2) - 1.0)
+    unit_twist_entry = twist_dilatation_excess(4.0 * moduli.mod_c2**2)
 
     # Unshearing compensates the chart-comparison distortion; worst case
     # over both subannulus cases and over Mod(B) in [mod_c2, mod_c1].

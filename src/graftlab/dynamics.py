@@ -20,6 +20,7 @@ from .grafting import (
     LengthState,
     Role,
     WeightedMulticurve,
+    decay_factor,
     graft_length_bounds,
 )
 
@@ -84,10 +85,6 @@ class GraftingTrajectory:
     def initial(self) -> LengthState:
         return self.steps[0]
 
-    def upper_factors(self) -> dict[str, float]:
-        """Per support curve, the constant per-step upper decay factor."""
-        return {cid: decay_factor(w) for cid, w in self.lamination.items()}
-
     def hi_series(self, cid: str) -> list[float]:
         return [state.lengths[cid].hi for state in self.steps]
 
@@ -97,13 +94,6 @@ class GraftingTrajectory:
     def max_hi_series(self) -> list[float]:
         ids = sorted(self.lamination.support)
         return [max(state.lengths[cid].hi for cid in ids) for state in self.steps]
-
-
-def decay_factor(t: float) -> float:
-    """Per-step upper-length factor pi / (pi + t); 1/3 for t = 2 pi."""
-    if not t > 0.0:
-        raise ValueError(f"weight must be positive, got {t!r}")
-    return math.pi / (math.pi + t)
 
 
 def iterate_grafting(
@@ -237,8 +227,14 @@ def iterated_lift_radius(l0: float, t: float, c: float, n: int) -> LiftRadiusBou
         raise ValueError(f"n must be nonnegative, got {n}")
     q = decay_factor(t) ** 0.125
     lead = c * l0**0.125
-    partial = lead * (1.0 - q ** (n + 1)) / (1.0 - q)
-    return LiftRadiusBound(partial_sum=partial, limit=lead / (1.0 - q), ratio=q, n=n)
+    return LiftRadiusBound(
+        partial_sum=_geometric_sum(lead, q, n + 1), limit=lead / (1.0 - q), ratio=q, n=n
+    )
+
+
+def _geometric_sum(lead: float, q: float, n: int) -> float:
+    """Closed form lead * (1 - q^n) / (1 - q) of sum_{k<n} lead * q^k."""
+    return lead * (1.0 - q**n) / (1.0 - q)
 
 
 def collapse_distance_bound(l: float, s: float) -> float:
@@ -285,30 +281,25 @@ def accumulation_analysis(
 ) -> AccumulationReport:
     """Per-step distance bounds C * l_{k}^{1/8} for rays through iterated lifts.
 
-    The bounds decay geometrically with ratio decay_factor(t)^{1/8}; the
-    affine reparametrization per step has slope (pi + t)/pi and offset t.
+    The bounds are the endpoint Cauchy bounds of the one-curve trajectory
+    and decay geometrically with ratio decay_factor(t)^{1/8}; the affine
+    reparametrization per step has slope (pi + t)/pi and offset t.
     """
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
     state, cid = _single_curve_state(l0, epsilon)
-    lam = WeightedMulticurve({cid: t})
-    traj = iterate_grafting(state, lam, n_steps)
-    his = traj.hi_series(cid)
-    bounds = tuple(c * his[k] ** 0.125 for k in range(n_steps))
-    ratios = tuple(b2 / b1 for b1, b2 in zip(bounds, bounds[1:]))
-    fitted = ratios[-1] if ratios else decay_factor(t) ** 0.125
+    traj = iterate_grafting(state, WeightedMulticurve({cid: t}), n_steps)
+    cauchy = endpoint_cauchy_analysis(traj, c)
+    ratios = cauchy.consecutive_ratios
     slope = (math.pi + t) / math.pi
-    tail = sum(bounds)
-    q = decay_factor(t) ** 0.125
-    closed = bounds[0] * (1.0 - q**n_steps) / (1.0 - q)
     return AccumulationReport(
-        step_bounds=bounds,
+        step_bounds=cauchy.step_bounds,
         consecutive_ratios=ratios,
-        fitted_ratio=fitted,
+        fitted_ratio=ratios[-1] if ratios else cauchy.expected_ratio,
         slopes=tuple(slope for _ in range(n_steps)),
         offsets=tuple(t for _ in range(n_steps)),
-        tail_sum=tail,
-        tail_closed_form=closed,
+        tail_sum=cauchy.tail_sums[0],
+        tail_closed_form=cauchy.tail_closed_forms[0],
         trajectory=traj,
         notes=(ACCUMULATION_OFFSET_NOTE, COLLAPSE_SIGN_NOTE),
     )
@@ -428,7 +419,7 @@ def endpoint_cauchy_analysis(
     n = len(bounds)
     for m in range(n):
         tails.append(sum(bounds[m:]))
-        closed.append(bounds[m] * (1.0 - q ** (n - m)) / (1.0 - q))
+        closed.append(_geometric_sum(bounds[m], q, n - m))
     return CauchyReport(
         step_bounds=bounds,
         consecutive_ratios=ratios,

@@ -25,6 +25,7 @@ __all__ = [
     "WeightedMulticurve",
     "LengthState",
     "GraftFactors",
+    "decay_factor",
     "graft_factors",
     "single_curve_graft_bounds",
     "RadiusBound",
@@ -41,7 +42,6 @@ __all__ = [
     "DisjointCurveBounds",
     "GraftBoundsReport",
     "graft_length_bounds",
-    "disjoint_length_bounds",
 ]
 
 
@@ -143,17 +143,22 @@ class GraftFactors:
     lower: float
 
 
+def decay_factor(t: float) -> float:
+    """Per-step upper-length factor pi / (pi + t); 1/3 for t = 2 pi."""
+    if not t > 0.0:
+        raise ValueError(f"grafting weight must be positive, got {t!r}")
+    return math.pi / (math.pi + t)
+
+
 def graft_factors(l_hi: float, t: float) -> GraftFactors:
     """Certified one-step length factors for a support curve.
 
-    Upper factor pi/(pi + t); lower factor (1/(1 + l_hi)) * 2 theta(l_hi) /
-    (2 theta(l_hi) + t), with the collar angle taken at the upper length
-    endpoint because theta decreases.
+    Upper factor decay_factor(t) = pi/(pi + t); lower factor (1/(1 + l_hi)) *
+    2 theta(l_hi) / (2 theta(l_hi) + t), with the collar angle taken at the
+    upper length endpoint because theta decreases.
     """
-    if not t > 0.0:
-        raise ValueError(f"grafting weight must be positive, got {t!r}")
+    upper = decay_factor(t)
     two_theta = 2.0 * collar_angle(l_hi)
-    upper = math.pi / (math.pi + t)
     lower = (1.0 / (1.0 + l_hi)) * two_theta / (two_theta + t)
     return GraftFactors(upper=upper, lower=lower)
 
@@ -431,25 +436,3 @@ def graft_length_bounds(
         epsilon=state.epsilon,
         new_state=state.with_lengths(new_lengths),
     )
-
-
-def disjoint_length_bounds(
-    state: LengthState,
-    lam: WeightedMulticurve,
-    disjoint_ids: Iterable[str],
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> dict[str, LengthInterval]:
-    """Updated intervals for curves declared disjoint from the lamination."""
-    out: dict[str, LengthInterval] = {}
-    for cid in disjoint_ids:
-        role = state.roles.get(cid)
-        if role is not Role.DISJOINT:
-            raise ValueError(
-                f"curve {cid!r} has role {None if role is None else role.value!r}; "
-                "only declared-disjoint curves can be updated here"
-            )
-        if cid in lam.support:
-            raise ValueError(f"curve {cid!r} is in the lamination support")
-        state.require_short([cid])
-        out[cid] = _disjoint_bounds(cid, state.lengths[cid], constants).new
-    return out

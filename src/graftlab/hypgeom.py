@@ -6,8 +6,8 @@ plain binary64 floats in hyperbolic length units / radians.
 
 The small-argument inequalities (psi(r) <= r, (pi - l)/2 <= theta(l),
 h(x) <= x**2/16) come with a scanner that locates their empirical validity
-thresholds on a dense grid; downstream modules check their inputs against
-those thresholds instead of an unquantified "small enough".
+thresholds on a dense grid, turning an unquantified "small enough" into a
+recorded range.
 """
 
 from __future__ import annotations
@@ -106,10 +106,6 @@ class SmallLengthThresholds:
     psi_leq_r: float | None
     theta_geq_half_pi_minus_half_l: float | None
     h_leq_x_squared_over_16: float | None
-
-    def validates(self, value: float, threshold: float | None) -> bool:
-        bound = self.cap if threshold is None else threshold
-        return value <= bound
 
 
 def scan_small_length_thresholds(step: float = 1e-4, cap: float = 1.0) -> SmallLengthThresholds:

@@ -27,6 +27,7 @@ __all__ = [
     "scaling_map",
     "shearing_map",
     "twist_map",
+    "twist_dilatation_excess",
     "compose_maps",
     "gridmap_to_csv",
     "gridmap_from_csv",
@@ -205,13 +206,31 @@ def twist_map(a: float, k: float, n_t: int = DEFAULT_LATTICE, n_x: int = DEFAULT
     grid = GridMap.from_function(a, a, fn, n_t=n_t, n_x=n_x)
     if k == 0.0:
         return QCMap(grid=grid, analytic_k=1.0, k_is_exact=True, analytic_abs_mu=0.0)
-    root = math.sqrt(1.0 + 4.0 * (a / k) ** 2)
+    try:
+        q = 4.0 * (a / k) ** 2
+    except OverflowError:  # a/k beyond ~1e154; K - 1 -> 0 there
+        q = math.inf
     return QCMap(
         grid=grid,
-        analytic_k=1.0 + 2.0 / (root - 1.0),
+        analytic_k=1.0 + twist_dilatation_excess(q),
         k_is_exact=True,
-        analytic_abs_mu=1.0 / root,
+        analytic_abs_mu=1.0 / math.sqrt(1.0 + q),
     )
+
+
+def twist_dilatation_excess(q: float) -> float:
+    """2 / (sqrt(1 + q) - 1): the excess K - 1 of a twist with q = 4 a^2 / k^2.
+
+    The unit-twist and untwist bounds of the comparison map reuse this form
+    with their own q >= 0.  It is evaluated as 2 (sqrt(1 + q) + 1) / q, which
+    does not cancel as q -> 0; q = 0 (an underflowed ratio) gives inf and
+    q = inf gives 0.
+    """
+    if q == 0.0:
+        return math.inf
+    if math.isinf(q):
+        return 0.0
+    return 2.0 * (math.sqrt(1.0 + q) + 1.0) / q
 
 
 def shearing_map(

@@ -14,9 +14,10 @@ import numpy as np
 
 from . import annuli, dilatation, dynamics, grafting, hypgeom
 from .beltrami import beltrami_estimate
+from .errors import ScenarioError
 from .qcmaps import BoundaryDistortion, compose_maps, scaling_map, shearing_map, twist_map
 
-__all__ = ["CheckResult", "SUITES", "run_suite"]
+__all__ = ["CheckResult", "SUITES", "TOLERANCES", "run_suite"]
 
 L_GRID = [0.1 * 2.0**-j for j in range(7)]
 T_GRID = [math.pi, 2.0 * math.pi, 4.0 * math.pi]
@@ -31,8 +32,39 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
 
-def _tol(tolerances: dict[str, float], name: str, default: float) -> float:
-    return float(tolerances.get(name, default))
+# Default tolerance per named check; ``--tolerance NAME=VALUE`` overrides one.
+TOLERANCES = {
+    "h_width_identity": 1e-12,
+    "modulus_scale_invariance": 1e-12,
+    "modulus_additivity": 1e-12,
+    "core_length_roundtrip": 1e-12,
+    "log_coords_roundtrip": 1e-12,
+    "sector_angle_sum": 1e-14,
+    "collar_modulus_identity": 1e-10,
+    "twist_numeric_vs_analytic": 1e-6,
+    "twist_mu_constant": 1e-10,
+    "scaling_numeric_vs_analytic": 1e-8,
+    "budget_additivity_slack": 1e-3,
+    "factor_identity": 1e-15,
+    "wolpert_collapse_chain": 1e-12,
+    "trajectory_upper_exact": 1e-12,
+    "lift_radius_tail": 1e-12,
+    "cauchy_ratio": 1e-10,
+    "cauchy_tail": 1e-12,
+    "threshold_linear": 1e-12,
+}
+
+
+def _resolve_tolerances(overrides: dict[str, float]) -> dict[str, float]:
+    """TOLERANCES with ``overrides`` applied; a bad name or value is a ScenarioError."""
+    for name, value in overrides.items():
+        if name not in TOLERANCES:
+            raise ScenarioError(
+                f"unknown tolerance {name!r}; valid names: {', '.join(TOLERANCES)}"
+            )
+        if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0.0):
+            raise ScenarioError(f"tolerance {name!r} must be a finite number >= 0, got {value!r}")
+    return {**TOLERANCES, **{name: float(value) for name, value in overrides.items()}}
 
 
 # ---------------------------------------------------------------- hypgeom
@@ -41,9 +73,8 @@ def _tol(tolerances: dict[str, float], name: str, default: float) -> float:
 def suite_hypgeom(lattice: int, rng, tolerances) -> list[CheckResult]:
     out = []
 
-    r = np.arange(1, 3001) * 1e-4                      # (0, 0.3]
-    psi = np.arctan(np.sinh(r))
-    margin = float(np.min(r - psi))
+    r = [i * 1e-4 for i in range(1, 3001)]  # (0, 0.3]
+    margin = min(v - hypgeom.annulus_angle(v) for v in r)
     out.append(
         CheckResult(
             "psi_leq_r_on_grid",
@@ -54,9 +85,8 @@ def suite_hypgeom(lattice: int, rng, tolerances) -> list[CheckResult]:
         )
     )
 
-    l = np.arange(1, 5001) * 1e-4                      # (0, 0.5]
-    theta = np.arccos(np.tanh(0.5 * l))
-    margin = float(np.min(theta - 0.5 * (np.pi - l)))
+    l = [i * 1e-4 for i in range(1, 5001)]  # (0, 0.5]
+    margin = min(hypgeom.collar_angle(v) - 0.5 * (math.pi - v) for v in l)
     out.append(
         CheckResult(
             "theta_geq_half_pi_minus_half_l_on_grid",
@@ -67,9 +97,8 @@ def suite_hypgeom(lattice: int, rng, tolerances) -> list[CheckResult]:
         )
     )
 
-    x = np.arange(1, 4001) * 1e-4                      # (0, 0.4]
-    h = np.tanh(0.25 * x) ** 2
-    margin = float(np.min(x * x / 16.0 - h))
+    x = [i * 1e-4 for i in range(1, 4001)]  # (0, 0.4]
+    margin = min(v * v / 16.0 - hypgeom.collar_quotient(v) for v in x)
     out.append(
         CheckResult(
             "h_leq_x_squared_over_16_on_grid",
@@ -80,11 +109,11 @@ def suite_hypgeom(lattice: int, rng, tolerances) -> list[CheckResult]:
         )
     )
 
-    grid = np.linspace(1e-3, 1.0, 400)
-    psi_vals = np.arctan(np.sinh(grid))
-    theta_vals = np.arccos(np.tanh(0.5 * grid))
-    width_vals = -np.log(np.tanh(0.25 * grid))
-    h_vals = np.tanh(0.25 * grid) ** 2
+    grid = np.linspace(1e-3, 1.0, 400).tolist()
+    psi_vals = np.array([hypgeom.annulus_angle(v) for v in grid])
+    theta_vals = np.array([hypgeom.collar_angle(v) for v in grid])
+    width_vals = np.array([hypgeom.collar_width(v) for v in grid])
+    h_vals = np.array([hypgeom.collar_quotient(v) for v in grid])
     mono = (
         np.all(np.diff(psi_vals) > 0)
         and np.all(np.diff(theta_vals) < 0)
@@ -93,15 +122,15 @@ def suite_hypgeom(lattice: int, rng, tolerances) -> list[CheckResult]:
     )
     out.append(CheckResult("adjacent_sample_monotonicity", bool(mono), details={"samples": 400}))
 
-    tol = _tol(tolerances, "h_width_identity", 1e-12)
+    tol = tolerances["h_width_identity"]
     err = float(np.max(np.abs(h_vals - np.exp(-2.0 * width_vals))))
     out.append(
         CheckResult("h_equals_exp_minus_2M", err <= tol, margin=tol - err, tolerance=tol)
     )
 
     l_geo = 0.05
-    longs = np.linspace(0.05, 0.2, 200)
-    d = np.arccosh(np.sinh(0.5 * longs) / math.sinh(0.5 * l_geo))
+    longs = np.linspace(0.05, 0.2, 200).tolist()
+    d = np.array([hypgeom.freehomotopy_distance(v, l_geo) for v in longs])
     out.append(
         CheckResult(
             "freehomotopy_distance_monotone_in_l_long",
@@ -134,7 +163,7 @@ def suite_hypgeom(lattice: int, rng, tolerances) -> list[CheckResult]:
 def suite_qcmaps(lattice: int, rng, tolerances) -> list[CheckResult]:
     out = []
 
-    tol = _tol(tolerances, "modulus_scale_invariance", 1e-12)
+    tol = tolerances["modulus_scale_invariance"]
     worst = 0.0
     for _ in range(32):
         inner = float(rng.uniform(0.1, 5.0))
@@ -146,7 +175,7 @@ def suite_qcmaps(lattice: int, rng, tolerances) -> list[CheckResult]:
         CheckResult("modulus_scale_invariance", worst <= tol, margin=tol - worst, tolerance=tol)
     )
 
-    tol = _tol(tolerances, "modulus_additivity", 1e-12)
+    tol = tolerances["modulus_additivity"]
     worst = 0.0
     for _ in range(32):
         radii = np.sort(rng.uniform(0.5, 20.0, size=4))
@@ -159,7 +188,7 @@ def suite_qcmaps(lattice: int, rng, tolerances) -> list[CheckResult]:
         CheckResult("modulus_additive_on_splits", worst <= tol, margin=tol - worst, tolerance=tol)
     )
 
-    tol = _tol(tolerances, "core_length_roundtrip", 1e-12)
+    tol = tolerances["core_length_roundtrip"]
     worst = 0.0
     for mod in np.geomspace(0.01, 100.0, 25):
         worst = max(worst, abs(annuli.core_length(mod) * mod - math.pi))
@@ -167,7 +196,7 @@ def suite_qcmaps(lattice: int, rng, tolerances) -> list[CheckResult]:
         CheckResult("core_length_times_modulus_is_pi", worst <= tol, margin=tol - worst, tolerance=tol)
     )
 
-    tol = _tol(tolerances, "log_coords_roundtrip", 1e-12)
+    tol = tolerances["log_coords_roundtrip"]
     ann = annuli.RoundAnnulus(1.0, math.e**1.7)
     worst = 0.0
     for _ in range(64):
@@ -180,7 +209,7 @@ def suite_qcmaps(lattice: int, rng, tolerances) -> list[CheckResult]:
         CheckResult("log_coords_roundtrip", worst <= tol, margin=tol - worst, tolerance=tol)
     )
 
-    tol = _tol(tolerances, "sector_angle_sum", 1e-14)
+    tol = tolerances["sector_angle_sum"]
     worst = 0.0
     for l in L_GRID:
         for t in T_GRID:
@@ -190,7 +219,7 @@ def suite_qcmaps(lattice: int, rng, tolerances) -> list[CheckResult]:
         CheckResult("sector_angles_sum_half_pi", worst <= tol, margin=tol - worst, tolerance=tol)
     )
 
-    tol = _tol(tolerances, "collar_modulus_identity", 1e-10)
+    tol = tolerances["collar_modulus_identity"]
     worst = 0.0
     for l in np.geomspace(1e-3, 0.5, 40):
         worst = max(
@@ -204,7 +233,7 @@ def suite_qcmaps(lattice: int, rng, tolerances) -> list[CheckResult]:
         CheckResult("collar_modulus_equals_2theta_over_l", worst <= tol, margin=tol - worst, tolerance=tol)
     )
 
-    tol = _tol(tolerances, "twist_numeric_vs_analytic", 1e-6)
+    tol = tolerances["twist_numeric_vs_analytic"]
     worst = 0.0
     worst_spread = 0.0
     for a in (0.5, 1.0, 2.0):
@@ -215,12 +244,12 @@ def suite_qcmaps(lattice: int, rng, tolerances) -> list[CheckResult]:
     out.append(
         CheckResult("twist_sup_k_matches_analytic", worst <= tol, margin=tol - worst, tolerance=tol)
     )
-    tol = _tol(tolerances, "twist_mu_constant", 1e-10)
+    tol = tolerances["twist_mu_constant"]
     out.append(
         CheckResult("twist_mu_constant", worst_spread <= tol, margin=tol - worst_spread, tolerance=tol)
     )
 
-    tol = _tol(tolerances, "scaling_numeric_vs_analytic", 1e-8)
+    tol = tolerances["scaling_numeric_vs_analytic"]
     worst = 0.0
     for a, b in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0), (5.0, 2.0)):
         m = scaling_map(a, b, n_t=lattice, n_x=lattice)
@@ -252,7 +281,7 @@ def suite_qcmaps(lattice: int, rng, tolerances) -> list[CheckResult]:
         )
     )
 
-    tol = _tol(tolerances, "budget_additivity_slack", 1e-3)
+    tol = tolerances["budget_additivity_slack"]
     inner = scaling_map(2.0, 1.0, n_t=lattice, n_x=lattice)
     outer = twist_map(2.0, 1.0, n_t=lattice, n_x=lattice)
     composed = compose_maps(outer.grid, inner.grid)
@@ -290,7 +319,7 @@ def suite_qcmaps(lattice: int, rng, tolerances) -> list[CheckResult]:
 
 def suite_grafting(lattice: int, rng, tolerances) -> list[CheckResult]:
     out = []
-    tol = _tol(tolerances, "factor_identity", 1e-15)
+    tol = tolerances["factor_identity"]
 
     sandwich_ok = True
     chain_ok = True
@@ -298,14 +327,17 @@ def suite_grafting(lattice: int, rng, tolerances) -> list[CheckResult]:
     for l in L_GRID:
         for t in T_GRID:
             interval = grafting.LengthInterval(0.8 * l, l)
-            factors = grafting.graft_factors(interval.hi, t)
-            new = grafting.LengthInterval(
-                factors.lower * interval.lo, factors.upper * interval.hi
+            state = grafting.LengthState(
+                roles={"g": grafting.Role.SUPPORT}, lengths={"g": interval}
             )
+            bounds = grafting.graft_length_bounds(
+                state, grafting.WeightedMulticurve({"g": t})
+            ).support["g"]
+            new = bounds.new
             sandwich_ok &= new.lo <= new.hi and new.hi < interval.hi
-            mid = factors.upper * interval.lo
+            mid = bounds.upper_factor * interval.lo
             chain_ok &= new.lo <= mid <= new.hi
-            factor_err = max(factor_err, abs(factors.upper - math.pi / (math.pi + t)))
+            factor_err = max(factor_err, abs(bounds.upper_factor - math.pi / (math.pi + t)))
     out.append(CheckResult("sandwich_lo_leq_hi_and_hi_strictly_decreases", sandwich_ok))
     out.append(CheckResult("lower_bound_below_scaled_lower_endpoint", chain_ok))
     out.append(
@@ -341,7 +373,7 @@ def suite_grafting(lattice: int, rng, tolerances) -> list[CheckResult]:
                 implied = False
     out.append(CheckResult("sufficient_condition_implies_containment", implied))
 
-    tol = _tol(tolerances, "wolpert_collapse_chain", 1e-12)
+    tol = tolerances["wolpert_collapse_chain"]
     worst = 0.0
     for l in L_GRID:
         for s in T_GRID:
@@ -383,7 +415,7 @@ def suite_dynamics(lattice: int, rng, tolerances) -> list[CheckResult]:
     his = traj.hi_series("g")
     factor = dynamics.decay_factor(t)
 
-    tol = _tol(tolerances, "trajectory_upper_exact", 1e-12)
+    tol = tolerances["trajectory_upper_exact"]
     worst = max(
         abs(h - 0.1 * factor**n) / (0.1 * factor**n) for n, h in enumerate(his)
     )
@@ -409,7 +441,7 @@ def suite_dynamics(lattice: int, rng, tolerances) -> list[CheckResult]:
         )
     )
 
-    tol = _tol(tolerances, "lift_radius_tail", 1e-12)
+    tol = tolerances["lift_radius_tail"]
     partials = [dynamics.iterated_lift_radius(0.1, t, 1.0, n) for n in range(30)]
     limit = partials[0].limit
     mono = all(
@@ -452,13 +484,13 @@ def suite_dynamics(lattice: int, rng, tolerances) -> list[CheckResult]:
         )
     )
 
-    tol = _tol(tolerances, "cauchy_ratio", 1e-10)
+    tol = tolerances["cauchy_ratio"]
     cauchy = dynamics.endpoint_cauchy_analysis(traj, 1.0)
     worst = max(abs(r - cauchy.expected_ratio) for r in cauchy.consecutive_ratios)
     out.append(
         CheckResult("cauchy_consecutive_ratio_exact", worst <= tol, margin=tol - worst, tolerance=tol)
     )
-    tol = _tol(tolerances, "cauchy_tail", 1e-12)
+    tol = tolerances["cauchy_tail"]
     worst = max(
         abs(a - b) / b for a, b in zip(cauchy.tail_sums, cauchy.tail_closed_forms)
     )
@@ -466,7 +498,7 @@ def suite_dynamics(lattice: int, rng, tolerances) -> list[CheckResult]:
         CheckResult("cauchy_tails_match_closed_form", worst <= tol, margin=tol - worst, tolerance=tol)
     )
 
-    tol = _tol(tolerances, "threshold_linear", 1e-12)
+    tol = tolerances["threshold_linear"]
     base = dynamics.geometric_convergence_threshold(0.07, 0.2)
     worst = max(
         abs(dynamics.geometric_convergence_threshold(c * 0.07, 0.2) - c * base)
@@ -509,8 +541,12 @@ def run_suite(
     seed: int = 0,
     tolerances: dict[str, float] | None = None,
 ) -> list[CheckResult]:
-    """Run one named suite (or all) and return its check results."""
-    tolerances = tolerances or {}
+    """Run one named suite (or all) and return its check results.
+
+    ``tolerances`` overrides entries of :data:`TOLERANCES`; an unknown name,
+    or a value that is not a finite number >= 0, raises ScenarioError.
+    """
+    tolerances = _resolve_tolerances(tolerances or {})
     rng = np.random.default_rng(seed)
     if name == "all":
         results = []

@@ -81,6 +81,13 @@ def twist_abs_mu(a, k):
     return 1 / mp.sqrt(1 + 4 * (mp.mpf(a) / mp.mpf(k)) ** 2)
 
 
+def twist_excess(q):
+    # The defining form cancels about log10(1/q) digits; 80 digits leave
+    # 50 at q = 1e-30.
+    with mp.workdps(80):
+        return 2 / (mp.sqrt(1 + mp.mpf(q)) - 1)
+
+
 def untwist_bound(l_ratio_sq):
     return 2 / (mp.sqrt(1 + 4 / (mp.mpf(l_ratio_sq) - 1)) - 1)
 

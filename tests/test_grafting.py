@@ -14,7 +14,6 @@ from graftlab import (
     bounding_annulus_moduli,
     bounding_radius,
     collar_containment_check,
-    disjoint_length_bounds,
     graft_factors,
     graft_length_bounds,
     iteration_distance_bound,
@@ -155,19 +154,6 @@ class TestDisjointBounds:
     def test_dominates_generic_short_curve_factor(self):
         for l in np.linspace(1e-4, 0.5, 300):
             assert separation_factor(float(l)) >= 1.0 / (1.0 + float(l))
-
-    def test_standalone_update(self):
-        state = two_curve_state()
-        lam = WeightedMulticurve({"g": 2 * math.pi})
-        updated = disjoint_length_bounds(state, lam, ["d"])
-        assert updated["d"].hi == 0.1
-        assert updated["d"].lo == pytest.approx(separation_factor(0.1) * 0.08, rel=1e-14)
-
-    def test_support_id_rejected(self):
-        state = two_curve_state()
-        lam = WeightedMulticurve({"g": 1.0})
-        with pytest.raises(ValueError):
-            disjoint_length_bounds(state, lam, ["g"])
 
 
 class TestBoundingRadius:

@@ -130,8 +130,3 @@ class TestThresholdScan:
         assert scan.psi_leq_r is None
         assert scan.theta_geq_half_pi_minus_half_l is None
         assert scan.h_leq_x_squared_over_16 is None
-
-    def test_validates_against_cap(self):
-        scan = hypgeom.scan_small_length_thresholds(step=1e-2, cap=0.5)
-        assert scan.validates(0.3, scan.psi_leq_r)
-        assert not scan.validates(0.7, scan.psi_leq_r)

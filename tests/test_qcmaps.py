@@ -15,7 +15,7 @@ from graftlab import (
     shearing_map,
     twist_map,
 )
-from graftlab.qcmaps import GridMap
+from graftlab.qcmaps import GridMap, twist_dilatation_excess
 
 import oracles
 
@@ -67,6 +67,13 @@ class TestTwistMap:
         assert TWIST_MU_1_2 == pytest.approx(
             oracles.as_float(oracles.twist_abs_mu(1, 2)), rel=1e-15
         )
+
+    def test_excess_matches_mpmath_without_cancellation(self):
+        for q in np.geomspace(1e-30, 1e30, 121).tolist():
+            expected = oracles.as_float(oracles.twist_excess(q))
+            assert twist_dilatation_excess(q) == pytest.approx(expected, rel=1e-15), q
+        assert twist_dilatation_excess(0.0) == math.inf
+        assert twist_dilatation_excess(math.inf) == 0.0
 
     def test_numeric_mu_constant_and_exact(self):
         m = twist_map(1.0, 2.0, n_t=65, n_x=65)
