@@ -94,5 +94,6 @@ from .errors import (
     NotSensePreservingError,
     ScenarioError,
     ShortnessError,
+    UnderflowError,
 )
 from .scenario import Scenario, load_scenario, resolve_constants, scenario_schema

@@ -88,6 +88,12 @@ def beltrami_estimate(grid_map) -> BeltramiEstimate:
     sup = float(abs_mu.max())
     if not sup < 1.0:
         i, j = np.unravel_index(int(abs_mu.argmax()), abs_mu.shape)
+        if sup == 1.0:
+            raise NotSensePreservingError(
+                f"|mu| rounds to 1.0 at lattice point ({i}, {j}): the estimate cannot "
+                "separate |mu| from 1 in float64, so the sampled map either degenerates "
+                "or has K beyond ~1e16 at this resolution"
+            )
         raise NotSensePreservingError(
             f"|mu| = {sup!r} >= 1 at lattice point ({i}, {j}): the sampled map is "
             "not a sense-preserving homeomorphism at this resolution"

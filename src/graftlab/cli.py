@@ -264,12 +264,7 @@ def _cmd_qc_check(args) -> int:
         else:
             entry["bound_margin"] = built.analytic_k - est.sup_k
         series.append(entry)
-        grid = built.grid
-        rows = []
-        for i in range(grid.n_t):
-            for j in range(grid.n_x):
-                rows.append([i * grid.dt, j * grid.dx, float(est.abs_mu[i, j])])
-        write_csv(out_dir / f"mu_{n}.csv", ["t", "x", "abs_mu"], rows)
+        write_csv(out_dir / f"mu_{n}.csv", ["t", "x", "abs_mu"], built.grid.table(est.abs_mu))
 
     report = {
         "tool": "graftlab",

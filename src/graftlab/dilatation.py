@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
+from .annuli import extended_cylinder_modulus
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import GeometryError, ShortnessError
-from .hypgeom import collar_angle
 from .grafting import bounding_annulus_moduli, bounding_radius, single_curve_graft_bounds
 from .qcmaps import twist_dilatation_excess
 
@@ -223,7 +223,7 @@ def comparison_budget(
 
     # Unshearing compensates the chart-comparison distortion; worst case
     # over both subannulus cases and over Mod(B) in [mod_c2, mod_c1].
-    mod_half = (0.5 * t + collar_angle(l)) / l
+    mod_half = 0.5 * extended_cylinder_modulus(l, t)
     unshear_l = max(
         bilipschitz_F_bound(moduli.mod_c2, mod_half, constants.kappa, "D_is_B"),
         bilipschitz_F_bound(moduli.mod_c1, mod_half, constants.kappa, "D_in_C"),

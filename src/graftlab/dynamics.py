@@ -9,10 +9,12 @@ geometric-series structure of those bounds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 from .config import DEFAULT_CONSTANTS, Constants
+from .errors import UnderflowError
 from .hypgeom import collar_angle
 from .grafting import (
     GraftBoundsReport,
@@ -102,16 +104,27 @@ def iterate_grafting(
     n: int,
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> GraftingTrajectory:
-    """Apply the one-step bounds n times; lengths shrink so shortness persists."""
+    """Apply the one-step bounds n times; lengths shrink so shortness persists.
+
+    Raises UnderflowError at the first step that leaves a lower bound below
+    the smallest normal float64, where the bounds lose relative precision.
+    """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
     steps = [state]
     reports: list[GraftBoundsReport] = []
     current = state
-    for _ in range(n):
+    for step in range(1, n + 1):
         report = graft_length_bounds(current, lam, constants=constants)
         reports.append(report)
         current = report.new_state
+        for cid, interval in current.lengths.items():
+            if interval.lo < sys.float_info.min:
+                raise UnderflowError(
+                    f"step {step}: lower length bound {interval.lo!r} of curve {cid!r} is "
+                    f"below the smallest normal float64 {sys.float_info.min!r}; "
+                    "use fewer steps"
+                )
         steps.append(current)
     return GraftingTrajectory(
         mode=TrajectoryMode.ITERATE,

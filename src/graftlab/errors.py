@@ -21,5 +21,9 @@ class GeometryError(GraftLabError):
     """A geometric precondition fails (annulus exits collar, moduli too small, ...)."""
 
 
+class UnderflowError(GraftLabError):
+    """A propagated length bound fell below the smallest normal float64."""
+
+
 class ScenarioError(GraftLabError):
     """Scenario file malformed or schema-invalid."""

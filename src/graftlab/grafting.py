@@ -263,7 +263,11 @@ def collar_containment_check(
     cap variant replaces R by k2 * l^{1/4}.  A failed flag is a result, not
     an error.
     """
-    interval = single_curve_graft_bounds(l, t)
+    return _containment(l, t, single_curve_graft_bounds(l, t), k2)
+
+
+def _containment(l: float, t: float, interval: LengthInterval, k2: float) -> ContainmentCheck:
+    """collar_containment_check at (l, t), given the one-step interval of l."""
     radius = bounding_radius(interval.hi, interval.lo, l, cap_coefficient=k2)
     b = cylinder_boundary_distance(l, t)
     m = collar_width(interval.hi)
@@ -369,7 +373,8 @@ def _support_bounds(
     new = LengthInterval(factors.lower * interval.lo, factors.upper * interval.hi)
     radius = bounding_radius(new.hi, new.lo, interval.hi, cap_coefficient=constants.K2)
     moduli = bounding_annulus_moduli(new.hi, radius.exact)
-    containment = collar_containment_check(interval.hi, weight, k2=constants.K2)
+    one_step = LengthInterval(factors.lower * interval.hi, factors.upper * interval.hi)
+    containment = _containment(interval.hi, weight, one_step, constants.K2)
     return SupportCurveBounds(
         curve_id=cid,
         weight=weight,

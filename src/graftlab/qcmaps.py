@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GeometryError, GridError
+from .report import csv_lines
 
 __all__ = [
     "GridMap",
@@ -72,6 +73,12 @@ class GridMap:
     @property
     def dx(self) -> float:
         return 1.0 / self.n_x
+
+    def table(self, *fields: np.ndarray) -> np.ndarray:
+        """Rows (i * dt, j * dx, *fields[i, j]) over the lattice in row-major order."""
+        t = np.repeat(np.arange(self.n_t) * self.dt, self.n_x)
+        x = np.tile(np.arange(self.n_x) * self.dx, self.n_t)
+        return np.column_stack([t, x, *(f.ravel() for f in fields)])
 
     @classmethod
     def from_function(
@@ -325,12 +332,8 @@ def gridmap_to_csv(grid: GridMap, path) -> None:
         fh.write(f"# winding={grid.winding}\n")
         fh.write(f"# n_t={grid.n_t}\n")
         fh.write(f"# n_x={grid.n_x}\n")
-        fh.write("t,x,re,im\n")
-        dt, dx = grid.dt, grid.dx
-        for i in range(grid.n_t):
-            for j in range(grid.n_x):
-                w = grid.samples[i, j]
-                fh.write(f"{i * dt:.17g},{j * dx:.17g},{w.real:.17g},{w.imag:.17g}\n")
+        table = grid.table(grid.samples.real, grid.samples.imag)
+        fh.writelines(csv_lines(["t", "x", "re", "im"], table))
 
 
 def gridmap_from_csv(path) -> GridMap:

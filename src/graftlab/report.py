@@ -1,10 +1,11 @@
 """Deterministic report serialization.
 
 Reports must be byte-identical across runs of the same inputs and version,
-so: dictionary keys are emitted sorted, floats are rendered with 17
-significant digits (round-trip exact for binary64), and nothing
-time-dependent enters the files (wall-clock timings go to the console
-only).
+so: dictionary keys are emitted sorted, every float in JSON and CSV goes
+through format_float (17 significant digits, round-trip exact for binary64),
+and nothing time-dependent enters the files (wall-clock timings go to the
+console only).  csv_lines is the only CSV formatter; it reads a sequence of
+rows or a 2-D numpy array column by column and yields the lines one by one.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import math
 from dataclasses import asdict, is_dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-__all__ = ["format_float", "dumps", "write_json", "write_csv", "jsonable"]
+__all__ = ["format_float", "dumps", "write_json", "csv_lines", "write_csv", "jsonable"]
 
 
 def format_float(x: float) -> str:
@@ -97,17 +99,22 @@ def write_json(path, obj) -> None:
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
         return format_float(float(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return str(value)
 
 
+def csv_lines(header: list[str], rows) -> Iterator[str]:
+    """Newline-terminated CSV lines; ``rows`` are equal-length rows or a 2-D array."""
+    columns = rows.T.tolist() if isinstance(rows, np.ndarray) else zip(*rows, strict=True)
+    cells = [map(_cell, column) for column in columns]
+    yield ",".join(header) + "\n"
+    for line in zip(*cells):
+        yield ",".join(line) + "\n"
+
+
 def write_csv(path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(csv_lines(header, rows))

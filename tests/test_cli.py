@@ -195,6 +195,16 @@ class TestSimulateCommand:
         path = write_scenario(tmp_path, lamination={})
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
 
+    def test_underflow_stops_with_one_line(self, tmp_path, capsys):
+        doc = json.loads((SCENARIOS / "iterate_two_pi.json").read_text())
+        doc["steps"] = 800
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: step 643: ") and "'gamma'" in err
+        assert err.count("\n") == 1
+
 
 class TestQcCheckCommand:
     def test_twist_refinement_series(self, tmp_path):
@@ -253,6 +263,15 @@ class TestQcCheckCommand:
         code = main(["qc-check", "--scenario", str(path), "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 0 or (code == 2 and err.startswith("error: ") and err.count("\n") == 1)
+
+    def test_mu_rounding_to_one_is_named(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        spec = {"kind": "twist", "params": {"a": 1, "k": 1e9}, "lattices": [33]}
+        path.write_text(json.dumps(spec))
+        assert main(["qc-check", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot separate |mu| from 1 in float64" in err
+        assert "not a sense-preserving" not in err
 
     def test_unknown_kind_exit_2(self, tmp_path):
         spec = tmp_path / "unknown.json"

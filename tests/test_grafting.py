@@ -23,6 +23,7 @@ from graftlab import (
     weighted_sum,
     wolpert_ratio,
 )
+from graftlab import grafting
 from graftlab.hypgeom import collar_angle
 
 import oracles
@@ -135,6 +136,34 @@ class TestGraftLengthBounds:
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError):
             WeightedMulticurve({"g": 0.0})
+
+    def test_one_graft_factors_call_per_support_curve(self, monkeypatch):
+        calls = []
+
+        def spy(l_hi, t):
+            calls.append((l_hi, t))
+            return graft_factors(l_hi, t)
+
+        monkeypatch.setattr(grafting, "graft_factors", spy)
+        state = LengthState(
+            roles={"a": Role.SUPPORT, "b": Role.SUPPORT, "d": Role.DISJOINT},
+            lengths={
+                "a": LengthInterval(0.05, 0.1),
+                "b": LengthInterval.point(0.02),
+                "d": LengthInterval(0.08, 0.1),
+            },
+            epsilon=0.1,
+        )
+        lam = WeightedMulticurve({"a": math.pi, "b": 2 * math.pi})
+        report = graft_length_bounds(state, lam)
+        assert sorted(calls) == [(0.02, 2 * math.pi), (0.1, math.pi)]
+        monkeypatch.undo()
+        for cid, sb in report.support.items():
+            check = collar_containment_check(sb.old.hi, sb.weight)
+            assert (sb.collar_contained, sb.containment_margin) == (
+                check.exact_ok,
+                check.exact_margin,
+            )
 
 
 class TestDisjointBounds:

@@ -1,6 +1,9 @@
 import json
 import math
 
+import numpy as np
+import pytest
+
 from graftlab.report import dumps, format_float, jsonable, write_csv
 
 
@@ -51,3 +54,30 @@ class TestCsv:
         assert lines[0] == "a,b,c"
         assert lines[1] == "1,0.5,true"
         assert float(lines[2].split(",")[1]) == 1.0 / 3.0
+
+    def test_array_and_rows_write_identical_bytes(self, tmp_path):
+        values = [[-0.0, 0.0, 2.0], [math.inf, -math.inf, math.nan], [0.1, 1e300, -5.0]]
+        write_csv(tmp_path / "rows.csv", ["a", "b", "c"], values)
+        write_csv(tmp_path / "array.csv", ["a", "b", "c"], np.array(values))
+        text = (tmp_path / "rows.csv").read_text()
+        assert (tmp_path / "array.csv").read_text() == text
+        assert text.splitlines()[1:] == [
+            "-0.0,0.0,2.0",
+            "Infinity,-Infinity,NaN",
+            "0.10000000000000001,1.0000000000000001e+300,-5.0",
+        ]
+
+    def test_mixed_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [[0, "g", True, np.float64(0.5)], [np.int64(1), "h", False, 3]]
+        write_csv(path, ["step", "curve", "ok", "x"], rows)
+        assert path.read_text() == "step,curve,ok,x\n0,g,true,0.5\n1,h,false,3\n"
+
+    def test_ragged_rows_raise(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], [3.0]])
+
+    def test_line_count_matches_len_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b"], rows=np.zeros((5, 2)))
+        assert len(path.read_text().splitlines()) == 6
