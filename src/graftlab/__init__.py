@@ -30,8 +30,6 @@ from .qcmaps import (
     GridMap,
     QCMap,
     compose_maps,
-    gridmap_from_csv,
-    gridmap_to_csv,
     scaling_map,
     shearing_map,
     twist_map,
@@ -96,4 +94,4 @@ from .errors import (
     ShortnessError,
     UnderflowError,
 )
-from .scenario import Scenario, load_scenario, resolve_constants, scenario_schema
+from .scenario import MapSpec, Scenario, load_map_spec, load_scenario, resolve_constants

@@ -155,14 +155,14 @@ def grafting_sector_angles(l: float, t: float) -> tuple[float, float]:
     """Sector angles (phi, phi_comp) of the grafting cylinder inside the extended cylinder.
 
     phi = (pi/2) * t / (t + 2 theta(l)) is the half-angle of the flat part,
-    phi_comp = pi/2 - phi = (pi/2) * 2 theta / (2 theta + t) the collar part;
-    they sum to pi/2 exactly.
+    phi_comp = (pi/2) * 2 theta / (2 theta + t) the collar part; they sum to
+    pi/2.  phi_comp is not taken as pi/2 - phi, which cancels to exactly 0
+    once t >> 2 theta.
     """
     if not t > 0.0:
         raise ValueError(f"height t must be positive, got {t!r}")
     two_theta = 2.0 * collar_angle(l)
-    phi = 0.5 * math.pi * t / (t + two_theta)
-    return phi, 0.5 * math.pi - phi
+    return 0.5 * math.pi * t / (t + two_theta), 0.5 * math.pi * two_theta / (t + two_theta)
 
 
 def cylinder_boundary_distance(l: float, t: float) -> float:

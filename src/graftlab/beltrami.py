@@ -12,6 +12,9 @@ from .errors import GridError, NotSensePreservingError
 __all__ = ["BeltramiEstimate", "beltrami_estimate", "convergence_order"]
 
 MIN_LATTICE = 33
+# Largest lattice per side that an input file or flag may ask for; the
+# memory of one estimate grows with the square of the side.
+MAX_LATTICE = 2049
 
 
 def _abs_mu(w: np.ndarray, dt: float, dx: float, winding: int) -> np.ndarray:

@@ -1,14 +1,14 @@
 """Batch front end: verification suites, scenario simulation, map checks.
 
 Exit codes: 0 = all checks passed / run completed; 1 = at least one check
-failed; 2 = malformed scenario, schema violation or precondition error.
+failed; 2 = an input that breaks the contract checked in graftlab.scenario
+(scenario file, map spec or --lattice), or a failed precondition.
 Report files are deterministic; timing is printed to the console only.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dynamics
-from .beltrami import MIN_LATTICE, beltrami_estimate, convergence_order
+from .beltrami import beltrami_estimate, convergence_order
 from .errors import GraftLabError, ScenarioError
 from .qcmaps import BoundaryDistortion, scaling_map, shearing_map, twist_map
 from .report import write_csv, write_json
-from .scenario import load_scenario, resolve_constants
+from .scenario import MapSpec, check_lattice, load_map_spec, load_scenario, resolve_constants
 from .verify import run_suite
 
 __all__ = ["main"]
@@ -41,6 +41,7 @@ def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
 
 
 def _cmd_verify(args) -> int:
+    check_lattice(args.lattice, "--lattice")
     tolerances = _parse_tolerances(args.tolerance)
     started = time.perf_counter()
     results = run_suite(args.suite, lattice=args.lattice, seed=args.seed, tolerances=tolerances)
@@ -142,10 +143,7 @@ def _cmd_simulate(args) -> int:
             [[k, r] for k, r in enumerate(ratios)],
         )
     elif scenario.mode == "accumulation":
-        items = scenario.lamination.items()
-        if len(items) != 1:
-            raise ScenarioError("mode 'accumulation' needs a single-curve lamination")
-        cid, weight = items[0]
+        cid, weight = scenario.lamination.items()[0]
         l0 = scenario.state.lengths[cid].hi
         acc = dynamics.accumulation_analysis(
             l0, weight, constants.C, scenario.steps, epsilon=scenario.state.epsilon
@@ -161,7 +159,7 @@ def _cmd_simulate(args) -> int:
             "tail_closed_form": acc.tail_closed_form,
             "notes": list(acc.notes),
         }
-    elif scenario.mode == "cauchy":
+    else:  # "cauchy", the last mode the scenario loader admits
         traj = dynamics.iterate_grafting(
             scenario.state, scenario.lamination, scenario.steps, constants=constants
         )
@@ -176,8 +174,6 @@ def _cmd_simulate(args) -> int:
             "cusp_pairs": list(descriptor.cusp_pairs),
             "boundary_count": descriptor.boundary_count,
         }
-    else:  # unreachable: the schema restricts the enum
-        raise ScenarioError(f"unsupported mode {scenario.mode!r}")
 
     write_csv(
         out_dir / "trajectory.csv",
@@ -192,61 +188,29 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _param(params: dict, name: str, default: float | None = None) -> float:
-    """Numeric map parameter params[name]; a missing or non-numeric one is a spec error."""
-    if name not in params:
-        if default is None:
-            raise ScenarioError(f"map spec is missing params.{name}")
-        return default
-    try:
-        return float(params[name])
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(
-            f"map spec params.{name} must be a number, got {params[name]!r}"
-        ) from exc
-
-
-def _build_map(kind: str, params: dict, lattice: int):
-    if kind == "twist":
-        return twist_map(_param(params, "a"), _param(params, "k"), n_t=lattice, n_x=lattice)
-    if kind == "scaling":
-        return scaling_map(_param(params, "a"), _param(params, "b"), n_t=lattice, n_x=lattice)
-    if kind == "shear":
-        amp = _param(params, "amplitude", 0.1)
-        dist = BoundaryDistortion.from_function(
-            lambda x: x + amp * np.sin(2.0 * np.pi * x) / (2.0 * np.pi),
-            derivative=lambda x: 1.0 + amp * np.cos(2.0 * np.pi * x),
-        )
-        return shearing_map(_param(params, "a"), dist, n_t=lattice, n_x=lattice)
-    raise ScenarioError(f"unknown map kind {kind!r}; choose twist, scaling or shear")
+def _build_map(spec: MapSpec, lattice: int):
+    p = {name: float(value) for name, value in spec.params.items()}
+    if spec.kind == "twist":
+        return twist_map(p["a"], p["k"], n_t=lattice, n_x=lattice)
+    if spec.kind == "scaling":
+        return scaling_map(p["a"], p["b"], n_t=lattice, n_x=lattice)
+    amp = p.get("amplitude", 0.1)
+    dist = BoundaryDistortion.from_function(
+        lambda x: x + amp * np.sin(2.0 * np.pi * x) / (2.0 * np.pi),
+        derivative=lambda x: 1.0 + amp * np.cos(2.0 * np.pi * x),
+    )
+    return shearing_map(p["a"], dist, n_t=lattice, n_x=lattice)
 
 
 def _cmd_qc_check(args) -> int:
-    try:
-        spec = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"cannot read map spec {args.scenario!r}: {exc}") from exc
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ScenarioError("map spec must be a JSON object with a 'kind' field")
-    kind = spec["kind"]
-    params = spec.get("params", {})
-    if not isinstance(params, dict):
-        raise ScenarioError(f"map spec params must be a JSON object, got {params!r}")
-    lattices = spec.get("lattices", [args.lattice])
-    if not isinstance(lattices, list) or not all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= MIN_LATTICE for n in lattices
-    ):
-        raise ScenarioError(
-            f"lattices must be a list of integers >= {MIN_LATTICE}, got {lattices!r}"
-        )
-
+    spec = load_map_spec(args.scenario, check_lattice(args.lattice, "--lattice"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     series = []
     errors = []
     analytic_k = None
-    for n in lattices:
-        built = _build_map(kind, params, n)
+    for n in spec.lattices:
+        built = _build_map(spec, n)
         est = beltrami_estimate(built.grid)
         analytic_k = built.analytic_k
         entry = {
@@ -269,8 +233,8 @@ def _cmd_qc_check(args) -> int:
     report = {
         "tool": "graftlab",
         "version": __version__,
-        "map": {"kind": kind, "params": params},
-        "lattices": lattices,
+        "map": {"kind": spec.kind, "params": spec.params},
+        "lattices": spec.lattices,
         "series": series,
     }
     if len(errors) >= 2 and analytic_k is not None:
@@ -320,9 +284,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GraftLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

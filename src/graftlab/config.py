@@ -11,7 +11,7 @@ reports that consume it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 __all__ = ["Constants", "DEFAULT_CONSTANTS"]
 
@@ -27,10 +27,10 @@ class Constants:
     epsilon: float = 0.1                 # short-curve threshold
 
     def __post_init__(self) -> None:
-        for name in ("C", "K2", "K3", "C_shear", "T_radius", "kappa", "epsilon"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (isinstance(v, (int, float)) and v > 0 and math.isfinite(v)):
-                raise ValueError(f"constant {name} must be a positive finite number, got {v!r}")
+                raise ValueError(f"constant {f.name} must be a positive finite number, got {v!r}")
 
     @property
     def kappa_is_placeholder(self) -> bool:
@@ -40,15 +40,7 @@ class Constants:
         return replace(self, **kwargs)
 
     def as_dict(self) -> dict:
-        return {
-            "C": self.C,
-            "K2": self.K2,
-            "K3": self.K3,
-            "C_shear": self.C_shear,
-            "T_radius": self.T_radius,
-            "kappa": self.kappa,
-            "epsilon": self.epsilon,
-        }
+        return asdict(self)
 
 
 DEFAULT_CONSTANTS = Constants()

@@ -26,4 +26,4 @@ class UnderflowError(GraftLabError):
 
 
 class ScenarioError(GraftLabError):
-    """Scenario file malformed or schema-invalid."""
+    """A scenario file, map spec or lattice flag breaks the input contract."""

@@ -216,7 +216,10 @@ def bounding_annulus_moduli(l_geo: float, radius: float) -> BoundingModuli:
     shortness threshold is not actually met.
     """
     if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
+        raise GeometryError(
+            f"bounding-annulus radius must be positive, got {radius!r} at l = {l_geo!r}; "
+            "a zero radius means the one-step length enclosure is narrower than float64 resolves"
+        )
     theta = collar_angle(l_geo)
     psi = annulus_angle(radius)
     if psi >= theta:

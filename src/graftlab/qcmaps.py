@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import GeometryError, GridError
-from .report import csv_lines
 
 __all__ = [
     "GridMap",
@@ -30,8 +29,6 @@ __all__ = [
     "twist_map",
     "twist_dilatation_excess",
     "compose_maps",
-    "gridmap_to_csv",
-    "gridmap_from_csv",
 ]
 
 DEFAULT_LATTICE = 129
@@ -295,8 +292,8 @@ def _lift(map_fn: Callable, winding: int) -> Callable:
 def compose_maps(outer: GridMap, inner: GridMap, tol: float = 1e-12) -> GridMap:
     """Sample ``outer`` after ``inner`` on the domain lattice of ``inner``.
 
-    Both maps must carry their defining callables (CSV-imported grids do
-    not) and the target rectangle of ``inner`` must match the domain of
+    Both maps must carry their defining callables (a GridMap built from raw
+    samples does not) and the target rectangle of ``inner`` must match the domain of
     ``outer``.
     """
     if inner.map_fn is None or outer.map_fn is None:
@@ -321,49 +318,3 @@ def compose_maps(outer: GridMap, inner: GridMap, tol: float = 1e-12) -> GridMap:
         n_x=inner.n_x,
         winding=inner.winding * outer.winding,
     )
-
-
-def gridmap_to_csv(grid: GridMap, path) -> None:
-    """Write the lattice as CSV rows (t, x, re, im) with a metadata header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# graftlab gridmap v1\n")
-        fh.write(f"# modulus_domain={grid.modulus_domain!r}\n")
-        fh.write(f"# modulus_target={grid.modulus_target!r}\n")
-        fh.write(f"# winding={grid.winding}\n")
-        fh.write(f"# n_t={grid.n_t}\n")
-        fh.write(f"# n_x={grid.n_x}\n")
-        table = grid.table(grid.samples.real, grid.samples.imag)
-        fh.writelines(csv_lines(["t", "x", "re", "im"], table))
-
-
-def gridmap_from_csv(path) -> GridMap:
-    """Read a gridmap CSV produced by :func:`gridmap_to_csv`."""
-    meta: dict[str, str] = {}
-    rows: list[tuple[float, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
-                continue
-            if line.startswith("t,"):
-                continue
-            parts = line.split(",")
-            rows.append((float(parts[2]), float(parts[3])))
-    try:
-        n_t = int(meta["n_t"])
-        n_x = int(meta["n_x"])
-        grid = GridMap(
-            modulus_domain=float(meta["modulus_domain"]),
-            modulus_target=float(meta["modulus_target"]),
-            samples=np.array([complex(re, im) for re, im in rows]).reshape(n_t, n_x),
-            winding=int(meta.get("winding", "1")),
-        )
-    except (KeyError, ValueError) as exc:
-        raise GridError(f"malformed gridmap CSV {path}: {exc}") from exc
-    return grid

@@ -1,34 +1,148 @@
-"""Scenario files: JSON schema validation and loading.
+"""Scenario files and map specs: the one typed input contract.
 
 A scenario declares curves with roles, initial length intervals, the
-lamination weights, a run mode and optional constant overrides.
-Constants resolve in three layers: built-in defaults, then the JSON file
-named by the GRAFTLAB_CONSTANTS environment variable, then the scenario's
-own ``constants`` block.
+lamination weights, a run mode and optional constant overrides.  A map
+spec names a building-block map, its parameters and the lattices to
+sample it on.  Constants resolve in three layers: built-in defaults, then
+the JSON file named by the GRAFTLAB_CONSTANTS environment variable, then
+the scenario's own ``constants`` block.
+
+Every check on these inputs lives here and fails with a ScenarioError that
+names the JSON path of the field (``lengths.g[0]``, ``params.k``,
+``lattices[2]``).  Every number must be finite (Python's json reads NaN
+and Infinity, which RFC 8259 section 6 forbids) and a bool is not a
+number.  Lengths, weights, ``s_values``, ``epsilon``, constants and the map
+parameters ``a``, ``k`` and ``b`` must be > 0, and lengths at least the
+smallest normal float64, below which they have lost relative precision.
+``steps`` and the number of ``s_values`` are at most MAX_STEPS, lattices
+lie in [MIN_LATTICE, MAX_LATTICE], and unknown keys are errors.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass
-from importlib import resources
+import reprlib
+import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-import jsonschema
-
+from .beltrami import MAX_LATTICE, MIN_LATTICE
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import ScenarioError
 from .grafting import LengthInterval, LengthState, Role, WeightedMulticurve
 
-__all__ = ["Scenario", "load_scenario", "scenario_schema", "resolve_constants"]
+__all__ = [
+    "MAX_STEPS",
+    "MapSpec",
+    "Scenario",
+    "check_lattice",
+    "load_map_spec",
+    "load_scenario",
+    "resolve_constants",
+]
 
-_CONSTANT_KEYS = ("C", "K2", "K3", "C_shear", "T_radius", "kappa", "epsilon")
+MAX_STEPS = 100_000
+MODES = ("iterate", "ray", "counterexample", "accumulation", "cauchy")
+# Required and optional parameters of each map kind.
+MAP_PARAMS = {
+    "twist": (("a", "k"), ()),
+    "scaling": (("a", "b"), ()),
+    "shear": (("a",), ("amplitude",)),
+}
+_CONSTANT_NAMES = tuple(f.name for f in fields(Constants))
 
 
-def scenario_schema() -> dict:
-    text = resources.files("graftlab.schemas").joinpath("scenario.schema.json").read_text()
-    return json.loads(text)
+def _key(where: str, key: str) -> str:
+    """JSON path of ``key`` inside the object at path ``where``."""
+    if not key.isidentifier():
+        return f"{where}[{json.dumps(key)}]"
+    return f"{where}.{key}" if where else key
+
+
+def _fail(where: str, expected: str, value) -> ScenarioError:
+    return ScenarioError(f"{where} must be {expected}, got {reprlib.repr(value)}")
+
+
+def _object(value, where: str, required=(), optional=()) -> dict:
+    """A JSON object holding every ``required`` key and no key outside
+    ``required`` and ``optional``; ``optional=None`` admits any other key."""
+    if not isinstance(value, dict):
+        raise _fail(where or "the document", "a JSON object", value)
+    if optional is not None:
+        known = (*required, *optional)
+        for key in value:
+            if key not in known:
+                raise ScenarioError(
+                    f"unknown field {_key(where, key)}; expected one of {', '.join(known)}"
+                )
+    for key in required:
+        if key not in value:
+            raise ScenarioError(f"missing field {_key(where, key)}")
+    return value
+
+
+def _list(value, where: str, min_items: int = 0, max_items: int | None = None) -> list:
+    if not isinstance(value, list):
+        raise _fail(where, "a JSON list", value)
+    if len(value) < min_items or (max_items is not None and len(value) > max_items):
+        bounds = f"{min_items} to {max_items}" if max_items is not None else f"at least {min_items}"
+        raise _fail(where, f"a list of {bounds} entries", value)
+    return value
+
+
+def _string(value, where: str, choices: tuple[str, ...] | None = None) -> str:
+    if not isinstance(value, str) or not value:
+        raise _fail(where, "a non-empty string", value)
+    if choices is not None and value not in choices:
+        raise _fail(where, f"one of {', '.join(choices)}", value)
+    return value
+
+
+def _number(value, where: str, positive: bool = True):
+    """A finite JSON number, > 0 when ``positive``; returned as the file gave it."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float64 range
+            x = math.inf
+        if math.isfinite(x) and (x > 0.0 or not positive):
+            return value
+    raise _fail(where, "a positive finite number" if positive else "a finite number", value)
+
+
+def _length(value, where: str):
+    if _number(value, where) < sys.float_info.min:
+        raise _fail(where, f"at least the smallest normal float64 {sys.float_info.min!r}", value)
+    return value
+
+
+def _integer(value, where: str, low: int, high: int) -> int:
+    if isinstance(value, int) and not isinstance(value, bool) and low <= value <= high:
+        return value
+    raise _fail(where, f"an integer in [{low}, {high}]", value)
+
+
+def check_lattice(value, where: str) -> int:
+    """The one lattice rule: an integer in [MIN_LATTICE, MAX_LATTICE] per side."""
+    return _integer(value, where, MIN_LATTICE, MAX_LATTICE)
+
+
+def _constants(value, where: str) -> dict:
+    block = _object(value, where, optional=_CONSTANT_NAMES)
+    for name, v in block.items():
+        _number(v, _key(where, name))
+    return block
+
+
+def _read_json(path, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
+        raise ScenarioError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -43,21 +157,21 @@ class Scenario:
     source: str = ""
 
 
+@dataclass(frozen=True)
+class MapSpec:
+    """A checked qc-check map spec; ``params`` and ``lattices`` are as the file gave them."""
+
+    kind: str
+    params: dict
+    lattices: list[int]
+
+
 def resolve_constants(overrides: dict | None = None) -> Constants:
     """Defaults <- GRAFTLAB_CONSTANTS file <- explicit overrides."""
     values = DEFAULT_CONSTANTS.as_dict()
     env_path = os.environ.get("GRAFTLAB_CONSTANTS")
     if env_path:
-        try:
-            env_values = json.loads(Path(env_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ScenarioError(f"cannot read constants file {env_path!r}: {exc}") from exc
-        if not isinstance(env_values, dict):
-            raise ScenarioError(f"constants file {env_path!r} must hold a JSON object")
-        unknown = set(env_values) - set(_CONSTANT_KEYS)
-        if unknown:
-            raise ScenarioError(f"unknown constants in {env_path!r}: {sorted(unknown)}")
-        values.update(env_values)
+        values.update(_constants(_read_json(env_path, "constants file"), "GRAFTLAB_CONSTANTS"))
     if overrides:
         values.update(overrides)
     try:
@@ -67,31 +181,30 @@ def resolve_constants(overrides: dict | None = None) -> Constants:
 
 
 def load_scenario(path) -> Scenario:
-    """Parse, schema-validate and semantically check a scenario file."""
+    """Parse and check a scenario file against the input contract."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(raw, scenario_schema())
-    except jsonschema.ValidationError as exc:
-        raise ScenarioError(f"scenario {path} violates the schema: {exc.message}") from exc
+    raw = _object(
+        _read_json(path, "scenario"),
+        "",
+        ("curves", "lengths", "lamination", "mode"),
+        ("name", "steps", "s_values", "epsilon", "constants"),
+    )
 
     roles: dict[str, Role] = {}
-    for entry in raw["curves"]:
-        cid = entry["id"]
+    for i, entry in enumerate(_list(raw["curves"], "curves", min_items=1)):
+        where = f"curves[{i}]"
+        entry = _object(entry, where, ("id", "role"))
+        cid = _string(entry["id"], f"{where}.id")
         if cid in roles:
             raise ScenarioError(f"duplicate curve id {cid!r}")
-        roles[cid] = Role(entry["role"])
+        roles[cid] = Role(_string(entry["role"], f"{where}.role", tuple(r.value for r in Role)))
 
     lengths: dict[str, LengthInterval] = {}
-    for cid, pair in raw["lengths"].items():
+    for cid, pair in _object(raw["lengths"], "lengths", optional=None).items():
         if cid not in roles:
             raise ScenarioError(f"length given for undeclared curve {cid!r}")
-        lo, hi = pair
+        where = _key("lengths", cid)
+        lo, hi = (_length(x, f"{where}[{i}]") for i, x in enumerate(_list(pair, where, 2, 2)))
         if not lo <= hi:
             raise ScenarioError(f"curve {cid!r}: lo {lo!r} exceeds hi {hi!r}")
         lengths[cid] = LengthInterval(lo, hi)
@@ -99,23 +212,30 @@ def load_scenario(path) -> Scenario:
     if undeclared:
         raise ScenarioError(f"curves without initial lengths: {sorted(undeclared)}")
 
-    for cid in raw["lamination"]:
+    weights = _object(raw["lamination"], "lamination", optional=None)
+    if not weights:
+        raise ScenarioError("lamination must give a weight to at least one curve")
+    for cid, weight in weights.items():
         if cid not in roles:
             raise ScenarioError(f"lamination references undeclared curve {cid!r}")
         if roles[cid] is not Role.SUPPORT:
             raise ScenarioError(f"lamination curve {cid!r} must have role 'support'")
-    lamination = WeightedMulticurve(raw["lamination"])
+        _number(weight, _key("lamination", cid))
+    lamination = WeightedMulticurve(weights)
 
-    constants = resolve_constants(raw.get("constants"))
+    constants = resolve_constants(_constants(raw.get("constants", {}), "constants"))
     # A top-level epsilon overrides the constants bundle so the state
     # threshold and the budget threshold cannot drift apart.
-    epsilon = raw.get("epsilon", constants.epsilon)
+    epsilon = _number(raw["epsilon"], "epsilon") if "epsilon" in raw else constants.epsilon
     constants = constants.updated(epsilon=epsilon)
     state = LengthState(roles=roles, lengths=lengths, epsilon=epsilon)
 
-    mode = raw["mode"]
-    steps = int(raw.get("steps", 0))
-    s_values = tuple(float(s) for s in raw.get("s_values", ()))
+    mode = _string(raw["mode"], "mode", MODES)
+    steps = _integer(raw.get("steps", 0), "steps", 0, MAX_STEPS)
+    s_values: tuple[float, ...] = ()
+    if "s_values" in raw:
+        items = _list(raw["s_values"], "s_values", 1, MAX_STEPS)
+        s_values = tuple(float(_number(s, f"s_values[{i}]")) for i, s in enumerate(items))
     if mode == "ray":
         if not s_values:
             raise ScenarioError("mode 'ray' requires s_values")
@@ -125,9 +245,11 @@ def load_scenario(path) -> Scenario:
         support = [cid for cid, r in roles.items() if r is Role.SUPPORT]
         if len(support) != 2:
             raise ScenarioError("mode 'counterexample' needs exactly two support curves")
+    if mode == "accumulation" and len(weights) != 1:
+        raise ScenarioError("mode 'accumulation' needs a single-curve lamination")
 
     return Scenario(
-        name=raw.get("name", path.stem),
+        name=_string(raw["name"], "name") if "name" in raw else path.stem,
         mode=mode,
         state=state,
         lamination=lamination,
@@ -136,3 +258,21 @@ def load_scenario(path) -> Scenario:
         constants=constants,
         source=str(path),
     )
+
+
+def load_map_spec(path, default_lattice: int) -> MapSpec:
+    """Parse and check a map spec ``{kind, params, lattices}``.
+
+    ``lattices`` defaults to ``[default_lattice]``.
+    """
+    raw = _object(_read_json(path, "map spec"), "", ("kind",), ("params", "lattices"))
+    kind = _string(raw["kind"], "kind", tuple(MAP_PARAMS))
+    required, optional = MAP_PARAMS[kind]
+    params = _object(raw.get("params", {}), "params", required, optional)
+    for name, value in params.items():
+        # The shear amplitude may take either sign; BoundaryDistortion checks it.
+        _number(value, _key("params", name), positive=name != "amplitude")
+    lattices = _list(raw.get("lattices", [default_lattice]), "lattices")
+    for i, n in enumerate(lattices):
+        check_lattice(n, f"lattices[{i}]")
+    return MapSpec(kind=kind, params=params, lattices=lattices)

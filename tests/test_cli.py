@@ -1,37 +1,157 @@
+import copy
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from graftlab.beltrami import MAX_LATTICE, MIN_LATTICE
 from graftlab.cli import main
 from graftlab.errors import ScenarioError
-from graftlab.scenario import load_scenario, resolve_constants, scenario_schema
+from graftlab.scenario import MAX_STEPS, load_map_spec, load_scenario, resolve_constants
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
+SCENARIO = {
+    "name": "t",
+    "curves": [{"id": "g", "role": "support"}],
+    "lengths": {"g": [0.1, 0.1]},
+    "lamination": {"g": 2 * math.pi},
+    "mode": "iterate",
+    "steps": 5,
+}
+MAP_SPEC = {"kind": "shear", "params": {"a": 2.0, "amplitude": 0.3}, "lattices": [33, 65]}
+
 
 def write_scenario(tmp_path, **overrides):
-    doc = {
-        "name": "t",
-        "curves": [{"id": "g", "role": "support"}],
-        "lengths": {"g": [0.1, 0.1]},
-        "lamination": {"g": 2 * math.pi},
-        "mode": "iterate",
-        "steps": 5,
-    }
-    doc.update(overrides)
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(dict(SCENARIO, **overrides)))
     return path
 
 
-class TestScenarioLoading:
-    def test_schema_is_valid_json_schema(self):
-        schema = scenario_schema()
-        assert schema["type"] == "object"
+def replaced(doc, path, value):
+    """A deep copy of ``doc`` with the entry at key/index ``path`` set to ``value``."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
 
+
+# A scenario with every optional field, and the field paths mutated one at a
+# time; () replaces the whole document and "latices" adds an unknown key.
+FULL_SCENARIO = dict(SCENARIO, s_values=[0.5], epsilon=0.1, constants={"K2": 1.0})
+SCENARIO_PATHS = [
+    (), ("name",), ("curves",), ("curves", 0), ("curves", 0, "id"), ("curves", 0, "role"),
+    ("lengths",), ("lengths", "g"), ("lengths", "g", 0), ("lengths", "g", 1),
+    ("lamination",), ("lamination", "g"), ("mode",), ("steps",), ("s_values",),
+    ("epsilon",), ("constants",), ("constants", "K2"), ("latices",),
+]
+MAP_SPEC_PATHS = [
+    (), ("kind",), ("params",), ("params", "a"), ("params", "amplitude"), ("params", "k"),
+    ("lattices",), ("lattices", 0), ("lattices", 1), ("latices",),
+]
+EDGE_VALUES = st.sampled_from(
+    [0, -1, 1e-320, sys.float_info.min, 1e308, 10**400, 2**63, 1e9, 33.0, 33, 2049, 2050,
+     MAX_STEPS, MAX_STEPS + 1, "2", "twist", "ray"]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | EDGE_VALUES,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def is_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+class TestInputContract:
+    """Any JSON document, or a valid one with one field replaced by any JSON
+    value, either loads within every bound of the contract or raises
+    ScenarioError."""
+
+    @staticmethod
+    def load(tmp_path, loader, doc):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        try:
+            return loader(path)
+        except ScenarioError:
+            return None
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(path=st.sampled_from(SCENARIO_PATHS), value=JSON_VALUES)
+    def test_scenario(self, tmp_path, monkeypatch, path, value):
+        monkeypatch.delenv("GRAFTLAB_CONSTANTS", raising=False)
+        scenario = self.load(tmp_path, load_scenario, replaced(FULL_SCENARIO, path, value))
+        if scenario is None:
+            return
+        for interval in scenario.state.lengths.values():
+            assert is_number(interval.hi)
+            assert sys.float_info.min <= interval.lo <= interval.hi
+        assert all(is_number(w) and w > 0 for w in scenario.lamination.weights.values())
+        assert len(scenario.s_values) <= MAX_STEPS
+        assert all(is_number(s) and s > 0 for s in scenario.s_values)
+        assert type(scenario.steps) is int and 0 <= scenario.steps <= MAX_STEPS
+        assert all(is_number(c) and c > 0 for c in scenario.constants.as_dict().values())
+        assert scenario.state.epsilon == scenario.constants.epsilon
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(path=st.sampled_from(MAP_SPEC_PATHS), value=JSON_VALUES)
+    def test_map_spec(self, tmp_path, path, value):
+        spec = self.load(tmp_path, lambda p: load_map_spec(p, 129), replaced(MAP_SPEC, path, value))
+        if spec is None:
+            return
+        assert all(type(n) is int and MIN_LATTICE <= n <= MAX_LATTICE for n in spec.lattices)
+        assert set(spec.params) <= {"a", "k", "b", "amplitude"}
+        for name, v in spec.params.items():
+            assert is_number(v) and (v > 0 or name == "amplitude")
+
+    @pytest.mark.parametrize(
+        "command, change, field",
+        [
+            ("simulate", {"lengths": {"g": [math.inf, math.inf]}}, "lengths.g[0]"),
+            ("simulate", {"lamination": {"g": math.inf}}, "lamination.g"),
+            ("simulate", {"lengths": {"g": [1e-320, 0.1]}}, "lengths.g[0]"),
+            ("simulate", {"epsilon": math.inf}, "epsilon"),
+            ("simulate", {"steps": 1e9}, "steps"),
+            ("qc-check", {"latices": [33]}, "latices"),
+            ("qc-check", {"params": {"a": 1.0, "k": "2"}}, "params.k"),
+            ("qc-check", {"params": {"a": 1.0, "k": True}}, "params.k"),
+            ("verify", "-1", "--lattice"),
+            ("verify", "0", "--lattice"),
+            ("verify", "4097", "--lattice"),
+        ],
+    )
+    def test_cli_names_the_field_in_one_line(self, tmp_path, capsys, command, change, field):
+        if command == "verify":
+            argv = ["verify", "qcmaps", "--lattice", change]
+        else:
+            twist = {"kind": "twist", "params": {"a": 1.0, "k": 2.0}}
+            base = SCENARIO if command == "simulate" else twist
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(dict(base, **change)))
+            argv = [command, "--scenario", str(path)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestScenarioLoading:
     def test_load_shipped_scenarios(self):
         for name in ("iterate_two_pi", "counterexample", "cauchy_endpoints", "accumulation"):
             scenario = load_scenario(SCENARIOS / f"{name}.json")
@@ -195,6 +315,17 @@ class TestSimulateCommand:
         path = write_scenario(tmp_path, lamination={})
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
 
+    def test_huge_weight_runs(self, tmp_path):
+        # The collar sector angle pi/2 - phi used to cancel to 0 here.
+        path = write_scenario(tmp_path, lamination={"g": 1e30})
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+
+    def test_enclosure_below_float_resolution_is_one_line(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, lengths={"g": [1e-20, 1e-20]})
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "narrower than float64 resolves" in err and err.count("\n") == 1
+
     def test_underflow_stops_with_one_line(self, tmp_path, capsys):
         doc = json.loads((SCENARIOS / "iterate_two_pi.json").read_text())
         doc["steps"] = 800
@@ -296,7 +427,9 @@ class TestGoldenOutputs:
     digests were retaken when the twist dilatation moved to its
     cancellation-free form and the hypgeom suite began calling the library,
     which changed a few last digits (analytic_k, relative_error, two margins
-    and the untwist effective constants).
+    and the untwist effective constants).  verify_all.json was retaken again
+    when the collar sector angle stopped being computed as pi/2 - phi, which
+    changed the sector_angles_sum_half_pi margin.
     """
 
     SHEAR_SPEC = {"kind": "shear", "params": {"a": 2.0, "amplitude": 0.3}, "lattices": [33, 65]}
@@ -312,7 +445,7 @@ class TestGoldenOutputs:
         "mu_65.csv": "42da1af35b8ba0d24c800cd4015527147e5626f61f9b549b2e4fa7ee34ec8245",
         "qc_report.json": "01725107be4e5b9ddddb6593e1a9cc30ae1cf0dc324a8092e84003bac8d65ce8",
     }
-    VERIFY_ALL = "d0dd38808d5a44e34d9b1694a977f22b861d9e53ce9b2d577d85b1dc20712417"
+    VERIFY_ALL = "0167405d0890180e14025edaab758775fc74620ae30c28e517010991d90481c5"
 
     @pytest.fixture(autouse=True)
     def _default_constants(self, monkeypatch):

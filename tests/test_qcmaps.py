@@ -9,8 +9,6 @@ from graftlab import (
     GeometryError,
     beltrami_estimate,
     compose_maps,
-    gridmap_from_csv,
-    gridmap_to_csv,
     scaling_map,
     shearing_map,
     twist_map,
@@ -146,16 +144,6 @@ class TestGridMap:
         assert grid.dx == pytest.approx(1.0 / 17)
         assert grid.samples[0, 0] == pytest.approx(0.0 + 0.0j)
 
-    def test_csv_roundtrip(self, tmp_path):
-        m = twist_map(1.0, 2.0, n_t=33, n_x=33)
-        path = tmp_path / "grid.csv"
-        gridmap_to_csv(m.grid, path)
-        back = gridmap_from_csv(path)
-        assert back.modulus_domain == m.grid.modulus_domain
-        assert back.modulus_target == m.grid.modulus_target
-        assert back.winding == m.grid.winding
-        np.testing.assert_allclose(back.samples, m.grid.samples, rtol=0, atol=1e-16)
-
 
 class TestComposition:
     def test_scaling_then_twist_budget(self):
@@ -172,10 +160,13 @@ class TestComposition:
         with pytest.raises(GridError):
             compose_maps(outer.grid, inner.grid)
 
-    def test_csv_imported_maps_cannot_compose(self, tmp_path):
+    def test_raw_sample_maps_cannot_compose(self):
         m = twist_map(1.0, 1.0, n_t=33, n_x=33)
-        path = tmp_path / "grid.csv"
-        gridmap_to_csv(m.grid, path)
-        back = gridmap_from_csv(path)
-        with pytest.raises(GridError):
-            compose_maps(m.grid, back)
+        raw = GridMap(
+            modulus_domain=m.grid.modulus_domain,
+            modulus_target=m.grid.modulus_target,
+            samples=m.grid.samples.copy(),
+            winding=m.grid.winding,
+        )
+        with pytest.raises(GridError, match="callable-backed"):
+            compose_maps(m.grid, raw)
