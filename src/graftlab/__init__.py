@@ -12,8 +12,6 @@ from .hypgeom import (
     scan_small_length_thresholds,
 )
 from .annuli import (
-    GraftingCylinder,
-    LogRect,
     RoundAnnulus,
     core_length,
     cylinder_boundary_distance,
@@ -39,11 +37,9 @@ from .dilatation import (
     ComparisonBudget,
     DilatationBudget,
     bilipschitz_F_bound,
-    boundary_lipschitz_bound,
     comparison_budget,
     twist_amount_bound,
     untwist_chain,
-    untwist_dilatation_bound,
 )
 from .grafting import (
     GraftBoundsReport,
@@ -56,7 +52,6 @@ from .grafting import (
     collar_containment_check,
     graft_factors,
     graft_length_bounds,
-    iteration_distance_bound,
     single_curve_graft_bounds,
     split_sum,
     weighted_sum,
@@ -77,7 +72,6 @@ from .dynamics import (
     decay_factor,
     endpoint_cauchy_analysis,
     endpoint_descriptor,
-    geodesic_tube_radius,
     geometric_convergence_threshold,
     holonomy_tube_radius,
     iterate_grafting,

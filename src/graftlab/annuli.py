@@ -22,8 +22,6 @@ from .hypgeom import collar_angle
 
 __all__ = [
     "RoundAnnulus",
-    "LogRect",
-    "GraftingCylinder",
     "modulus",
     "core_length",
     "to_log_coords",
@@ -55,49 +53,10 @@ class RoundAnnulus:
     def log_width(self) -> float:
         return math.log(self.outer / self.inner)
 
-    def normalized(self) -> "RoundAnnulus":
-        """Same conformal annulus with inner radius 1."""
-        return RoundAnnulus(1.0, self.outer / self.inner)
-
     def scaled(self, c: float) -> "RoundAnnulus":
         if not c > 0.0:
             raise ValueError(f"scale factor must be positive, got {c!r}")
         return RoundAnnulus(c * self.inner, c * self.outer)
-
-
-@dataclass(frozen=True)
-class LogRect:
-    """Conformal rectangle model of an annulus: height = modulus, circumference 1."""
-
-    modulus: float
-
-    def __post_init__(self) -> None:
-        if not self.modulus > 0.0:
-            raise ValueError(f"modulus must be positive, got {self.modulus!r}")
-
-    @property
-    def log_width(self) -> float:
-        return TWO_PI * self.modulus
-
-    @classmethod
-    def from_annulus(cls, annulus: RoundAnnulus) -> "LogRect":
-        return cls(modulus(annulus))
-
-
-@dataclass(frozen=True)
-class GraftingCylinder:
-    """Flat euclidean cylinder of the given circumference and height."""
-
-    circumference: float
-    height: float
-
-    def __post_init__(self) -> None:
-        if not (self.circumference > 0.0 and self.height > 0.0):
-            raise ValueError("grafting cylinder needs positive circumference and height")
-
-    @property
-    def modulus(self) -> float:
-        return self.height / self.circumference
 
 
 def modulus(annulus: RoundAnnulus) -> float:

@@ -20,9 +20,7 @@ from .grafting import bounding_annulus_moduli, bounding_radius, single_curve_gra
 from .qcmaps import twist_dilatation_excess
 
 __all__ = [
-    "boundary_lipschitz_bound",
     "twist_amount_bound",
-    "untwist_dilatation_bound",
     "UntwistChain",
     "untwist_chain",
     "bilipschitz_F_bound",
@@ -30,18 +28,6 @@ __all__ = [
     "ComparisonBudget",
     "comparison_budget",
 ]
-
-
-def boundary_lipschitz_bound(mod_source: float, mod_target: float) -> float:
-    """Lipschitz constant of a univalent annulus map on the shared boundary circle.
-
-    A holomorphic injection of a modulus-``mod_source`` annulus into a
-    modulus-``mod_target`` annulus preserving the outer boundary is
-    K-Lipschitz there in the angular metric, K = mod_target / mod_source.
-    """
-    if not (mod_source > 0.0 and mod_target > 0.0):
-        raise ValueError("moduli must be positive")
-    return mod_target / mod_source
 
 
 def twist_amount_bound(mod_c1: float, mod_c2: float) -> float:
@@ -61,22 +47,14 @@ def twist_amount_bound(mod_c1: float, mod_c2: float) -> float:
 
 
 def _untwist_bound_from_ratio_sq(l_ratio_sq: float) -> float:
+    """log K bound for the twist-compensation map, L = (mod_c1/mod_c2)^2.
+
+    log K <= 2 / (sqrt(1 + 4/(L - 1)) - 1); tends to 0 as the moduli
+    coincide (L -> 1+).
+    """
     if not l_ratio_sq > 1.0:
         raise GeometryError(f"untwist bound needs modulus ratio^2 > 1, got {l_ratio_sq!r}")
     return twist_dilatation_excess(4.0 / (l_ratio_sq - 1.0))
-
-
-def untwist_dilatation_bound(mod_c1: float, mod_c2: float) -> float:
-    """log K bound for the twist-compensation map.
-
-    With L = (mod_c1/mod_c2)^2: log K <= 2 / (sqrt(1 + 4/(L - 1)) - 1);
-    tends to 0 as the moduli coincide.
-    """
-    if not (mod_c2 > 0.0 and mod_c1 > mod_c2):
-        raise GeometryError(
-            f"untwist bound needs mod_c1 > mod_c2 > 0, got {mod_c1!r}, {mod_c2!r}"
-        )
-    return _untwist_bound_from_ratio_sq((mod_c1 / mod_c2) ** 2)
 
 
 @dataclass(frozen=True)
@@ -156,15 +134,6 @@ class DilatationBudget:
     @property
     def total(self) -> float:
         return sum(value for _, value in self.entries)
-
-    def entry(self, label: str) -> float:
-        for name, value in self.entries:
-            if name == label:
-                return value
-        raise KeyError(label)
-
-    def labels(self) -> list[str]:
-        return [name for name, _ in self.entries]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ geometric-series structure of those bounds.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,7 +16,6 @@ from .config import DEFAULT_CONSTANTS, Constants
 from .errors import UnderflowError
 from .hypgeom import collar_angle
 from .grafting import (
-    GraftBoundsReport,
     LengthInterval,
     LengthState,
     Role,
@@ -35,7 +33,6 @@ __all__ = [
     "ray_reparametrization",
     "TubeReport",
     "holonomy_tube_radius",
-    "geodesic_tube_radius",
     "LiftRadiusBound",
     "iterated_lift_radius",
     "collapse_distance_bound",
@@ -80,12 +77,7 @@ class GraftingTrajectory:
     mode: TrajectoryMode
     lamination: WeightedMulticurve
     steps: tuple[LengthState, ...]
-    reports: tuple[GraftBoundsReport, ...]
     s_values: tuple[float, ...] = ()
-
-    @property
-    def initial(self) -> LengthState:
-        return self.steps[0]
 
     def hi_series(self, cid: str) -> list[float]:
         return [state.lengths[cid].hi for state in self.steps]
@@ -112,26 +104,12 @@ def iterate_grafting(
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
     steps = [state]
-    reports: list[GraftBoundsReport] = []
-    current = state
     for step in range(1, n + 1):
-        report = graft_length_bounds(current, lam, constants=constants)
-        reports.append(report)
-        current = report.new_state
-        for cid, interval in current.lengths.items():
-            if interval.lo < sys.float_info.min:
-                raise UnderflowError(
-                    f"step {step}: lower length bound {interval.lo!r} of curve {cid!r} is "
-                    f"below the smallest normal float64 {sys.float_info.min!r}; "
-                    "use fewer steps"
-                )
-        steps.append(current)
-    return GraftingTrajectory(
-        mode=TrajectoryMode.ITERATE,
-        lamination=lam,
-        steps=tuple(steps),
-        reports=tuple(reports),
-    )
+        try:
+            steps.append(graft_length_bounds(steps[-1], lam, constants=constants).new_state)
+        except UnderflowError as exc:
+            raise UnderflowError(f"step {step}: {exc}; use fewer steps") from exc
+    return GraftingTrajectory(mode=TrajectoryMode.ITERATE, lamination=lam, steps=tuple(steps))
 
 
 def ray_grafting(
@@ -144,16 +122,15 @@ def ray_grafting(
     if not s_values:
         raise ValueError("ray mode needs at least one s value")
     steps = [state]
-    reports: list[GraftBoundsReport] = []
-    for s in s_values:
-        report = graft_length_bounds(state, lam.scaled(s), constants=constants)
-        reports.append(report)
-        steps.append(report.new_state)
+    for k, s in enumerate(s_values):
+        try:
+            steps.append(graft_length_bounds(state, lam.scaled(s), constants=constants).new_state)
+        except UnderflowError as exc:
+            raise UnderflowError(f"s_values[{k}]: {exc}") from exc
     return GraftingTrajectory(
         mode=TrajectoryMode.RAY,
         lamination=lam,
         steps=tuple(steps),
-        reports=tuple(reports),
         s_values=tuple(float(s) for s in s_values),
     )
 
@@ -201,23 +178,6 @@ def holonomy_tube_radius(
     )
 
 
-def geodesic_tube_radius(
-    state: LengthState,
-    lam: WeightedMulticurve,
-    diaz_kim_radius: float,
-    c: float = DEFAULT_CONSTANTS.C,
-) -> TubeReport:
-    """Tube radius around the Teichmueller geodesic: external ray-to-geodesic
-    constant (an input, not computed here) plus the holonomy tube radius."""
-    if diaz_kim_radius < 0.0:
-        raise ValueError("the ray-to-geodesic constant must be nonnegative")
-    inner = holonomy_tube_radius(state, lam, c=c)
-    return TubeReport(
-        radius=diaz_kim_radius + inner.radius,
-        terms=(("ray_to_geodesic", diaz_kim_radius),) + inner.terms,
-    )
-
-
 @dataclass(frozen=True)
 class LiftRadiusBound:
     """Partial geometric sum of per-step lift distances and its limit."""
@@ -246,7 +206,13 @@ def iterated_lift_radius(l0: float, t: float, c: float, n: int) -> LiftRadiusBou
 
 
 def _geometric_sum(lead: float, q: float, n: int) -> float:
-    """Closed form lead * (1 - q^n) / (1 - q) of sum_{k<n} lead * q^k."""
+    """Closed form lead * (1 - q^n) / (1 - q) of sum_{k<n} lead * q^k.
+
+    q = decay_factor(t)^{1/8} rounds to 1.0 for weights t below about 1e-15;
+    the limit lead * n applies there.
+    """
+    if q == 1.0:
+        return lead * n
     return lead * (1.0 - q**n) / (1.0 - q)
 
 

@@ -10,12 +10,13 @@ from which) is declared by the scenario, never computed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
 from .config import DEFAULT_CONSTANTS, Constants
-from .errors import GeometryError, ShortnessError
+from .errors import GeometryError, ShortnessError, UnderflowError
 from .hypgeom import annulus_angle, collar_angle, collar_width, freehomotopy_distance
 from .annuli import cylinder_boundary_distance, separation_factor
 
@@ -37,7 +38,6 @@ __all__ = [
     "wolpert_ratio",
     "weighted_sum",
     "split_sum",
-    "iteration_distance_bound",
     "SupportCurveBounds",
     "DisjointCurveBounds",
     "GraftBoundsReport",
@@ -330,14 +330,6 @@ def split_sum(eta: WeightedMulticurve, lam: WeightedMulticurve) -> WeightedMulti
     return WeightedMulticurve(merged)
 
 
-def iteration_distance_bound(
-    state: LengthState, c: float = DEFAULT_CONSTANTS.C, exponent: float = 0.125
-) -> float:
-    """Distance bound C * (max tracked upper length)^exponent; needs shortness."""
-    state.require_short(state.lengths)
-    return c * state.max_hi() ** exponent
-
-
 @dataclass(frozen=True)
 class SupportCurveBounds:
     curve_id: str
@@ -369,11 +361,25 @@ class GraftBoundsReport:
     new_state: LengthState
 
 
+def _propagated(cid: str, lo: float, hi: float) -> LengthInterval:
+    """The propagated enclosure [lo, hi] of curve ``cid``.
+
+    Raises UnderflowError when lo is below the smallest normal float64,
+    where the bound has lost relative precision (or rounded to 0).
+    """
+    if lo < sys.float_info.min:
+        raise UnderflowError(
+            f"lower length bound {lo!r} of curve {cid!r} is below the smallest "
+            f"normal float64 {sys.float_info.min!r}"
+        )
+    return LengthInterval(lo, hi)
+
+
 def _support_bounds(
     cid: str, interval: LengthInterval, weight: float, constants: Constants
 ) -> SupportCurveBounds:
     factors = graft_factors(interval.hi, weight)
-    new = LengthInterval(factors.lower * interval.lo, factors.upper * interval.hi)
+    new = _propagated(cid, factors.lower * interval.lo, factors.upper * interval.hi)
     radius = bounding_radius(new.hi, new.lo, interval.hi, cap_coefficient=constants.K2)
     moduli = bounding_annulus_moduli(new.hi, radius.exact)
     one_step = LengthInterval(factors.lower * interval.hi, factors.upper * interval.hi)
@@ -397,7 +403,7 @@ def _disjoint_bounds(
 ) -> DisjointCurveBounds:
     k = separation_factor(interval.hi)
     lower_factor = max(k, 1.0 / (1.0 + interval.hi))
-    new = LengthInterval(lower_factor * interval.lo, interval.hi)
+    new = _propagated(cid, lower_factor * interval.lo, interval.hi)
     radius = bounding_radius(interval.hi, new.lo, interval.hi, cap_coefficient=constants.K3)
     return DisjointCurveBounds(
         curve_id=cid, old=interval, new=new, lower_factor=lower_factor, radius=radius

@@ -156,10 +156,6 @@ class BoundaryDistortion:
         b = max(sup_fp, 1.0 / inf_fp)
         return cls(f=f, bilipschitz_constant=b, derivative=derivative)
 
-    @classmethod
-    def identity(cls) -> "BoundaryDistortion":
-        return cls(f=lambda x: x, bilipschitz_constant=1.0, derivative=lambda x: np.ones_like(x))
-
 
 @dataclass(frozen=True, eq=False)
 class QCMap:

@@ -14,8 +14,10 @@ and Infinity, which RFC 8259 section 6 forbids) and a bool is not a
 number.  Lengths, weights, ``s_values``, ``epsilon``, constants and the map
 parameters ``a``, ``k`` and ``b`` must be > 0, and lengths at least the
 smallest normal float64, below which they have lost relative precision.
-``steps`` and the number of ``s_values`` are at most MAX_STEPS, lattices
-lie in [MIN_LATTICE, MAX_LATTICE], and unknown keys are errors.
+``steps`` and the number of ``s_values`` are at most MAX_STEPS, each
+``s_values`` entry times every lamination weight is a positive finite
+float64, lattices lie in [MIN_LATTICE, MAX_LATTICE], and unknown keys are
+errors.
 """
 
 from __future__ import annotations
@@ -236,6 +238,14 @@ def load_scenario(path) -> Scenario:
     if "s_values" in raw:
         items = _list(raw["s_values"], "s_values", 1, MAX_STEPS)
         s_values = tuple(float(_number(s, f"s_values[{i}]")) for i, s in enumerate(items))
+        lightest, heaviest = min(lamination.weights.values()), max(lamination.weights.values())
+        for i, s in enumerate(s_values):
+            if not (s * lightest > 0.0 and math.isfinite(s * heaviest)):
+                raise _fail(
+                    f"s_values[{i}]",
+                    "a number whose product with each lamination weight is positive and finite",
+                    items[i],
+                )
     if mode == "ray":
         if not s_values:
             raise ScenarioError("mode 'ray' requires s_values")

@@ -311,6 +311,20 @@ def suite_qcmaps(lattice: int, rng, tolerances) -> list[CheckResult]:
             details={"effective_c": effective, "max": max(effective)},
         )
     )
+
+    # The central estimate: the comparison map's log-dilatation is at most
+    # C * l^{1/8}, so total / l^{1/8} must not grow as l shrinks; on L_GRID
+    # it strictly decreases.
+    effective = [[dilatation.comparison_budget(l, t).effective_c for l in L_GRID] for t in T_GRID]
+    decrease = min(a - b for row in effective for a, b in zip(row, row[1:]))
+    out.append(
+        CheckResult(
+            "comparison_budget_eighth_power_law",
+            all(math.isfinite(c) and c > 0.0 for row in effective for c in row) and decrease > 0.0,
+            margin=decrease,
+            details={"t": T_GRID, "effective_c": effective},
+        )
+    )
     return out
 
 

@@ -23,10 +23,13 @@ class TestRoundAnnulus:
         with pytest.raises(ValueError):
             annuli.RoundAnnulus(0.0, 1.0)
 
-    def test_normalized_keeps_modulus(self):
+    def test_scaled_keeps_modulus(self):
         a = annuli.RoundAnnulus(3.0, 12.0)
-        assert annuli.modulus(a.normalized()) == pytest.approx(annuli.modulus(a), rel=1e-15)
-        assert a.normalized().inner == 1.0
+        unit = a.scaled(1.0 / a.inner)
+        assert annuli.modulus(unit) == pytest.approx(annuli.modulus(a), rel=1e-15)
+        assert unit.inner == 1.0
+        with pytest.raises(ValueError):
+            a.scaled(0.0)
 
 
 class TestModulus:
@@ -189,25 +192,3 @@ class TestStandardCollarModulus:
             assert abs(
                 annuli.standard_collar_modulus(l) - 2 * hypgeom.collar_angle(l) / l
             ) <= 1e-10
-
-
-class TestGraftingCylinder:
-    def test_modulus(self):
-        cyl = annuli.GraftingCylinder(circumference=0.1, height=2 * math.pi)
-        assert cyl.modulus == pytest.approx(2 * math.pi / 0.1, rel=1e-15)
-
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            annuli.GraftingCylinder(circumference=0.0, height=1.0)
-
-
-class TestLogRect:
-    def test_from_annulus(self):
-        ann = annuli.RoundAnnulus(2.0, 2.0 * math.exp(2 * math.pi))
-        rect = annuli.LogRect.from_annulus(ann)
-        assert rect.modulus == pytest.approx(1.0, rel=1e-15)
-        assert rect.log_width == pytest.approx(ann.log_width, rel=1e-15)
-
-    def test_positive_modulus_required(self):
-        with pytest.raises(ValueError):
-            annuli.LogRect(0.0)

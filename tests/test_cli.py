@@ -133,6 +133,11 @@ class TestInputContract:
             ("verify", "-1", "--lattice"),
             ("verify", "0", "--lattice"),
             ("verify", "4097", "--lattice"),
+            (
+                "simulate",
+                {"lamination": {"g": 1e200}, "mode": "ray", "s_values": [1, 1e200]},
+                "s_values[1]",
+            ),
         ],
     )
     def test_cli_names_the_field_in_one_line(self, tmp_path, capsys, command, change, field):
@@ -326,6 +331,24 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "narrower than float64 resolves" in err and err.count("\n") == 1
 
+    def test_lower_bound_rounding_to_0_stops_with_one_line(self, tmp_path, capsys):
+        # lo drops from a normal float straight to 0.0 at step 8.
+        path = write_scenario(
+            tmp_path, lengths={"g": [1e-25, 2.7e-22]}, lamination={"g": 3.4e38}, steps=50
+        )
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: step 8: lower length bound 0.0 of curve 'g'")
+        assert err.count("\n") == 1
+
+    def test_cauchy_ratio_rounding_to_one_runs(self, tmp_path):
+        # decay_factor(7.6e-19) rounds to 1.0, so every step bound is the same.
+        path = write_scenario(tmp_path, lamination={"g": 7.6e-19}, mode="cauchy")
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+        cauchy = json.loads((tmp_path / "report.json").read_text())["cauchy"]
+        assert cauchy["expected_ratio"] == 1.0
+        assert cauchy["tail_sums"] == cauchy["tail_closed_forms"]
+
     def test_underflow_stops_with_one_line(self, tmp_path, capsys):
         doc = json.loads((SCENARIOS / "iterate_two_pi.json").read_text())
         doc["steps"] = 800
@@ -429,7 +452,9 @@ class TestGoldenOutputs:
     which changed a few last digits (analytic_k, relative_error, two margins
     and the untwist effective constants).  verify_all.json was retaken again
     when the collar sector angle stopped being computed as pi/2 - phi, which
-    changed the sector_angles_sum_half_pi margin.
+    changed the sector_angles_sum_half_pi margin, and once more when the
+    qcmaps suite gained comparison_budget_eighth_power_law; every other
+    line stayed the same.
     """
 
     SHEAR_SPEC = {"kind": "shear", "params": {"a": 2.0, "amplitude": 0.3}, "lattices": [33, 65]}
@@ -445,7 +470,7 @@ class TestGoldenOutputs:
         "mu_65.csv": "42da1af35b8ba0d24c800cd4015527147e5626f61f9b549b2e4fa7ee34ec8245",
         "qc_report.json": "01725107be4e5b9ddddb6593e1a9cc30ae1cf0dc324a8092e84003bac8d65ce8",
     }
-    VERIFY_ALL = "0167405d0890180e14025edaab758775fc74620ae30c28e517010991d90481c5"
+    VERIFY_ALL = "1f10d9515218a1030bd6c7298fc8d39807a5979c1064af2517c69aa5c6f699a3"
 
     @pytest.fixture(autouse=True)
     def _default_constants(self, monkeypatch):

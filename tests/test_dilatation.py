@@ -8,34 +8,16 @@ from graftlab import (
     GeometryError,
     ShortnessError,
     bilipschitz_F_bound,
-    boundary_lipschitz_bound,
     comparison_budget,
     twist_amount_bound,
     untwist_chain,
-    untwist_dilatation_bound,
 )
-from graftlab.dilatation import DilatationBudget
+from graftlab.dilatation import DilatationBudget, _untwist_bound_from_ratio_sq
 
 import oracles
 
 UNTWIST_L2 = 1.618033988749895        # 2/(sqrt(5)-1), golden ratio
 L_GRID = [0.1 * 2.0**-j for j in range(7)]
-
-
-class TestBoundaryLipschitz:
-    def test_equal_moduli(self):
-        assert boundary_lipschitz_bound(1.5, 1.5) == 1.0
-
-    def test_ratio(self):
-        assert boundary_lipschitz_bound(1.0, 2.0) == 2.0
-
-    def test_bilipschitz_by_swapping_roles(self):
-        # Applying the bound in both directions bounds the two-sided constant
-        # by the larger modulus quotient.
-        mod_c1, mod_c2 = 8.0, 5.0
-        forward = boundary_lipschitz_bound(mod_c2, mod_c1)
-        backward = boundary_lipschitz_bound(mod_c1, mod_c2)
-        assert max(forward, backward) == pytest.approx(mod_c1 / mod_c2, rel=1e-15)
 
 
 class TestTwistAmount:
@@ -58,16 +40,16 @@ class TestTwistAmount:
 
 class TestUntwistBound:
     def test_vanishes_as_moduli_coincide(self):
-        assert untwist_dilatation_bound(1.0 + 1e-9, 1.0) < 1e-4
+        assert _untwist_bound_from_ratio_sq((1.0 + 1e-9) ** 2) < 1e-4
 
     def test_frozen_value_at_ratio_sq_2(self):
-        got = untwist_dilatation_bound(math.sqrt(2.0), 1.0)
+        got = _untwist_bound_from_ratio_sq(2.0)
         assert got == pytest.approx(UNTWIST_L2, rel=1e-13)
         assert UNTWIST_L2 == pytest.approx(oracles.as_float(oracles.untwist_bound(2)), rel=1e-14)
 
     def test_rejects_degenerate_ratio(self):
         with pytest.raises(GeometryError):
-            untwist_dilatation_bound(1.0, 1.0)
+            _untwist_bound_from_ratio_sq(1.0)
 
     def test_chain_reports_effective_constant(self):
         chain = untwist_chain(0.05, 2 * math.pi, t_radius=1.0)
@@ -118,7 +100,7 @@ class TestBilipschitzF:
 class TestComparisonBudget:
     def test_entries_and_total(self):
         result = comparison_budget(0.05, 2 * math.pi)
-        assert result.budget.labels() == [
+        assert [name for name, _ in result.budget.entries] == [
             "scaling",
             "shearing",
             "unit_twist",

@@ -16,7 +16,6 @@ from graftlab import (
     decay_factor,
     endpoint_cauchy_analysis,
     endpoint_descriptor,
-    geodesic_tube_radius,
     geometric_convergence_threshold,
     holonomy_tube_radius,
     iterate_grafting,
@@ -143,14 +142,6 @@ class TestHolonomyTubeRadius:
     def test_shortness_enforced(self):
         with pytest.raises(ShortnessError):
             holonomy_tube_radius(single_state(l=0.2), WeightedMulticurve({"g": 1.0}))
-
-    def test_geodesic_tube_adds_external_constant(self):
-        state = single_state()
-        lam = WeightedMulticurve({"g": TWO_PI})
-        inner = holonomy_tube_radius(state, lam)
-        outer = geodesic_tube_radius(state, lam, diaz_kim_radius=2.5)
-        assert outer.radius == pytest.approx(2.5 + inner.radius, rel=1e-15)
-        assert outer.terms[0] == ("ray_to_geodesic", 2.5)
 
 
 class TestIteratedLiftRadius:

@@ -16,7 +16,6 @@ from graftlab import (
     collar_containment_check,
     graft_factors,
     graft_length_bounds,
-    iteration_distance_bound,
     separation_factor,
     single_curve_graft_bounds,
     split_sum,
@@ -311,20 +310,3 @@ class TestMulticurveAlgebra:
     def test_split_sum_overlap_rejected(self):
         with pytest.raises(ValueError):
             split_sum(WeightedMulticurve({"a": 1.0}), WeightedMulticurve({"a": 2.0}))
-
-
-class TestIterationDistanceBound:
-    def test_frozen_value(self):
-        state = one_curve_state()
-        assert iteration_distance_bound(state, 1.0) == pytest.approx(
-            0.1**0.125, rel=1e-15
-        )
-
-    def test_monotone_in_max_length(self):
-        small = iteration_distance_bound(one_curve_state(l=0.05), 1.0)
-        large = iteration_distance_bound(one_curve_state(l=0.1), 1.0)
-        assert small < large
-
-    def test_shortness_enforced(self):
-        with pytest.raises(ShortnessError):
-            iteration_distance_bound(one_curve_state(l=0.5), 1.0)

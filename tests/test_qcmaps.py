@@ -23,6 +23,9 @@ TWIST_K_1_2 = 5.82842712474619            # 3 + 2 sqrt(2)
 TWIST_MU_1_2 = 0.7071067811865476         # 1/sqrt(2)
 
 
+IDENTITY = BoundaryDistortion.from_function(lambda x: x, derivative=np.ones_like)
+
+
 def sin_distortion(amplitude):
     return BoundaryDistortion.from_function(
         lambda x: x + amplitude * np.sin(2 * np.pi * x) / (2 * np.pi),
@@ -82,7 +85,7 @@ class TestTwistMap:
 
 class TestShearingMap:
     def test_identity_distortion(self):
-        m = shearing_map(2.0, BoundaryDistortion.identity(), n_t=33, n_x=33)
+        m = shearing_map(2.0, IDENTITY, n_t=33, n_x=33)
         est = beltrami_estimate(m.grid)
         assert est.sup_k == pytest.approx(1.0, abs=1e-12)
 
@@ -111,7 +114,7 @@ class TestShearingMap:
 
     def test_preconditions(self):
         with pytest.raises(GeometryError):
-            shearing_map(1.0, BoundaryDistortion.identity())
+            shearing_map(1.0, IDENTITY)
         wild = BoundaryDistortion(f=lambda x: x, bilipschitz_constant=2.0)
         with pytest.raises(GeometryError):
             shearing_map(2.0, wild)
