@@ -42,7 +42,6 @@ from .dilatation import (
     untwist_chain,
 )
 from .grafting import (
-    GraftBoundsReport,
     LengthInterval,
     LengthState,
     Role,

@@ -43,8 +43,11 @@ def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
 def _cmd_verify(args) -> int:
     check_lattice(args.lattice, "--lattice")
     tolerances = _parse_tolerances(args.tolerance)
+    constants = resolve_constants()
     started = time.perf_counter()
-    results = run_suite(args.suite, lattice=args.lattice, seed=args.seed, tolerances=tolerances)
+    results = run_suite(
+        args.suite, lattice=args.lattice, seed=args.seed, tolerances=tolerances, constants=constants
+    )
     elapsed = time.perf_counter() - started
     failed = [r for r in results if not r.passed]
     for r in results:
@@ -64,7 +67,7 @@ def _cmd_verify(args) -> int:
             "suite": args.suite,
             "lattice": args.lattice,
             "seed": args.seed,
-            "constants": resolve_constants().as_dict(),
+            "constants": constants.as_dict(),
             "tolerance_overrides": tolerances,
             "checks": results,
             "passed": len(failed) == 0,
@@ -112,20 +115,14 @@ def _cmd_simulate(args) -> int:
     }
 
     if scenario.mode == "iterate":
-        traj = dynamics.iterate_grafting(
-            scenario.state, scenario.lamination, scenario.steps, constants=constants
-        )
+        traj = dynamics.iterate_grafting(scenario.state, scenario.lamination, scenario.steps)
     elif scenario.mode == "ray":
-        traj = dynamics.ray_grafting(
-            scenario.state, scenario.lamination, scenario.s_values, constants=constants
-        )
+        traj = dynamics.ray_grafting(scenario.state, scenario.lamination, scenario.s_values)
         report["ray_reparametrization_slope_example"] = dynamics.ray_reparametrization(
             1, min(w for _, w in scenario.lamination.items()), 1.0
         )
     elif scenario.mode == "counterexample":
-        traj = dynamics.iterate_grafting(
-            scenario.state, scenario.lamination, scenario.steps, constants=constants
-        )
+        traj = dynamics.iterate_grafting(scenario.state, scenario.lamination, scenario.steps)
         items = scenario.lamination.items()
         light = min(items, key=lambda kv: kv[1])[0]
         heavy = max(items, key=lambda kv: kv[1])[0]
@@ -160,9 +157,7 @@ def _cmd_simulate(args) -> int:
             "notes": list(acc.notes),
         }
     else:  # "cauchy", the last mode the scenario loader admits
-        traj = dynamics.iterate_grafting(
-            scenario.state, scenario.lamination, scenario.steps, constants=constants
-        )
+        traj = dynamics.iterate_grafting(scenario.state, scenario.lamination, scenario.steps)
         cauchy = dynamics.endpoint_cauchy_analysis(traj, constants.C)
         descriptor = dynamics.endpoint_descriptor(scenario.state, scenario.lamination)
         report["cauchy"] = {

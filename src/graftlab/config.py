@@ -20,7 +20,6 @@ __all__ = ["Constants", "DEFAULT_CONSTANTS"]
 class Constants:
     C: float = 1.0                       # comparison-map distance coefficient
     K2: float = 1.0                      # core-curve bounding-radius cap coefficient
-    K3: float = 1.0                      # disjoint-curve bounding-radius cap coefficient
     C_shear: float = 2.0 * math.sqrt(2.0)  # shear log-dilatation slope: log K <= C_shear*(B-1)
     T_radius: float = 1.0                # model radius R = T_radius * l**(1/4)
     kappa: float = 1.0                   # round-subannulus modulus defect (placeholder)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .config import DEFAULT_CONSTANTS, Constants
+from .config import DEFAULT_CONSTANTS
 from .errors import UnderflowError
 from .hypgeom import collar_angle
 from .grafting import (
@@ -90,12 +90,7 @@ class GraftingTrajectory:
         return [max(state.lengths[cid].hi for cid in ids) for state in self.steps]
 
 
-def iterate_grafting(
-    state: LengthState,
-    lam: WeightedMulticurve,
-    n: int,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> GraftingTrajectory:
+def iterate_grafting(state: LengthState, lam: WeightedMulticurve, n: int) -> GraftingTrajectory:
     """Apply the one-step bounds n times; lengths shrink so shortness persists.
 
     Raises UnderflowError at the first step that leaves a lower bound below
@@ -106,7 +101,7 @@ def iterate_grafting(
     steps = [state]
     for step in range(1, n + 1):
         try:
-            steps.append(graft_length_bounds(steps[-1], lam, constants=constants).new_state)
+            steps.append(graft_length_bounds(steps[-1], lam))
         except UnderflowError as exc:
             raise UnderflowError(f"step {step}: {exc}; use fewer steps") from exc
     return GraftingTrajectory(mode=TrajectoryMode.ITERATE, lamination=lam, steps=tuple(steps))
@@ -116,7 +111,6 @@ def ray_grafting(
     state: LengthState,
     lam: WeightedMulticurve,
     s_values: tuple[float, ...] | list[float],
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> GraftingTrajectory:
     """One-step bounds for each scaled lamination s * lam from the same start."""
     if not s_values:
@@ -124,7 +118,7 @@ def ray_grafting(
     steps = [state]
     for k, s in enumerate(s_values):
         try:
-            steps.append(graft_length_bounds(state, lam.scaled(s), constants=constants).new_state)
+            steps.append(graft_length_bounds(state, lam.scaled(s)))
         except UnderflowError as exc:
             raise UnderflowError(f"s_values[{k}]: {exc}") from exc
     return GraftingTrajectory(
@@ -200,9 +194,9 @@ def iterated_lift_radius(l0: float, t: float, c: float, n: int) -> LiftRadiusBou
         raise ValueError(f"n must be nonnegative, got {n}")
     q = decay_factor(t) ** 0.125
     lead = c * l0**0.125
-    return LiftRadiusBound(
-        partial_sum=_geometric_sum(lead, q, n + 1), limit=lead / (1.0 - q), ratio=q, n=n
-    )
+    # q rounds to 1.0 for weights t below about 1e-15; the series then diverges.
+    limit = math.inf if q == 1.0 else lead / (1.0 - q)
+    return LiftRadiusBound(partial_sum=_geometric_sum(lead, q, n + 1), limit=limit, ratio=q, n=n)
 
 
 def _geometric_sum(lead: float, q: float, n: int) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .config import DEFAULT_CONSTANTS, Constants
+from .config import DEFAULT_CONSTANTS
 from .errors import GeometryError, ShortnessError, UnderflowError
 from .hypgeom import annulus_angle, collar_angle, collar_width, freehomotopy_distance
 from .annuli import cylinder_boundary_distance, separation_factor
@@ -38,9 +38,6 @@ __all__ = [
     "wolpert_ratio",
     "weighted_sum",
     "split_sum",
-    "SupportCurveBounds",
-    "DisjointCurveBounds",
-    "GraftBoundsReport",
     "graft_length_bounds",
 ]
 
@@ -163,10 +160,28 @@ def graft_factors(l_hi: float, t: float) -> GraftFactors:
     return GraftFactors(upper=upper, lower=lower)
 
 
+def _propagated(where: str, lo: float, hi: float) -> LengthInterval:
+    """The propagated enclosure [lo, hi]; ``where`` names it in the error.
+
+    Raises UnderflowError when lo is below the smallest normal float64,
+    where the bound has lost relative precision (or rounded to 0).
+    """
+    if lo < sys.float_info.min:
+        raise UnderflowError(
+            f"lower length bound {lo!r} {where} is below the smallest "
+            f"normal float64 {sys.float_info.min!r}"
+        )
+    return LengthInterval(lo, hi)
+
+
 def single_curve_graft_bounds(l: float, t: float) -> LengthInterval:
-    """Grafted-length enclosure for one curve of exact length l and weight t."""
+    """Grafted-length enclosure for one curve of exact length l and weight t.
+
+    Raises UnderflowError when the lower bound is below the smallest
+    normal float64.
+    """
     f = graft_factors(l, t)
-    return LengthInterval(f.lower * l, f.upper * l)
+    return _propagated(f"at l = {l!r}, t = {t!r}", f.lower * l, f.upper * l)
 
 
 @dataclass(frozen=True)
@@ -266,11 +281,7 @@ def collar_containment_check(
     cap variant replaces R by k2 * l^{1/4}.  A failed flag is a result, not
     an error.
     """
-    return _containment(l, t, single_curve_graft_bounds(l, t), k2)
-
-
-def _containment(l: float, t: float, interval: LengthInterval, k2: float) -> ContainmentCheck:
-    """collar_containment_check at (l, t), given the one-step interval of l."""
+    interval = single_curve_graft_bounds(l, t)
     radius = bounding_radius(interval.hi, interval.lo, l, cap_coefficient=k2)
     b = cylinder_boundary_distance(l, t)
     m = collar_width(interval.hi)
@@ -330,97 +341,12 @@ def split_sum(eta: WeightedMulticurve, lam: WeightedMulticurve) -> WeightedMulti
     return WeightedMulticurve(merged)
 
 
-@dataclass(frozen=True)
-class SupportCurveBounds:
-    curve_id: str
-    weight: float
-    old: LengthInterval
-    new: LengthInterval
-    upper_factor: float
-    lower_factor: float
-    radius: RadiusBound
-    moduli: BoundingModuli
-    collar_contained: bool
-    containment_margin: float
-
-
-@dataclass(frozen=True)
-class DisjointCurveBounds:
-    curve_id: str
-    old: LengthInterval
-    new: LengthInterval
-    lower_factor: float
-    radius: RadiusBound
-
-
-@dataclass(frozen=True)
-class GraftBoundsReport:
-    support: dict[str, SupportCurveBounds]
-    disjoint: dict[str, DisjointCurveBounds]
-    epsilon: float
-    new_state: LengthState
-
-
-def _propagated(cid: str, lo: float, hi: float) -> LengthInterval:
-    """The propagated enclosure [lo, hi] of curve ``cid``.
-
-    Raises UnderflowError when lo is below the smallest normal float64,
-    where the bound has lost relative precision (or rounded to 0).
-    """
-    if lo < sys.float_info.min:
-        raise UnderflowError(
-            f"lower length bound {lo!r} of curve {cid!r} is below the smallest "
-            f"normal float64 {sys.float_info.min!r}"
-        )
-    return LengthInterval(lo, hi)
-
-
-def _support_bounds(
-    cid: str, interval: LengthInterval, weight: float, constants: Constants
-) -> SupportCurveBounds:
-    factors = graft_factors(interval.hi, weight)
-    new = _propagated(cid, factors.lower * interval.lo, factors.upper * interval.hi)
-    radius = bounding_radius(new.hi, new.lo, interval.hi, cap_coefficient=constants.K2)
-    moduli = bounding_annulus_moduli(new.hi, radius.exact)
-    one_step = LengthInterval(factors.lower * interval.hi, factors.upper * interval.hi)
-    containment = _containment(interval.hi, weight, one_step, constants.K2)
-    return SupportCurveBounds(
-        curve_id=cid,
-        weight=weight,
-        old=interval,
-        new=new,
-        upper_factor=factors.upper,
-        lower_factor=factors.lower,
-        radius=radius,
-        moduli=moduli,
-        collar_contained=containment.exact_ok,
-        containment_margin=containment.exact_margin,
-    )
-
-
-def _disjoint_bounds(
-    cid: str, interval: LengthInterval, constants: Constants
-) -> DisjointCurveBounds:
-    k = separation_factor(interval.hi)
-    lower_factor = max(k, 1.0 / (1.0 + interval.hi))
-    new = _propagated(cid, lower_factor * interval.lo, interval.hi)
-    radius = bounding_radius(interval.hi, new.lo, interval.hi, cap_coefficient=constants.K3)
-    return DisjointCurveBounds(
-        curve_id=cid, old=interval, new=new, lower_factor=lower_factor, radius=radius
-    )
-
-
-def graft_length_bounds(
-    state: LengthState,
-    lam: WeightedMulticurve,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> GraftBoundsReport:
+def graft_length_bounds(state: LengthState, lam: WeightedMulticurve) -> LengthState:
     """Propagate every tracked interval across one grafting along ``lam``.
 
-    Support curves contract by [lower, pi/(pi+t)]; declared-disjoint curves
-    keep their upper bound and lose at most the separation factor.  Each
-    support curve also gets its bounding-annulus radius, the collar-strip
-    moduli and a collar-containment verdict.
+    Support curves contract by [lower, pi/(pi+t)] (see graft_factors);
+    declared-disjoint curves keep their upper bound and lose at most the
+    separation factor.  Returns the state after the step.
     """
     for cid in lam.support:
         role = state.roles.get(cid)
@@ -432,21 +358,16 @@ def graft_length_bounds(
             raise ValueError(f"no length interval tracked for support curve {cid!r}")
     state.require_short(lam.support)
 
-    support: dict[str, SupportCurveBounds] = {}
+    new_lengths: dict[str, LengthInterval] = {}
     for cid, weight in lam.items():
-        support[cid] = _support_bounds(cid, state.lengths[cid], weight, constants)
-
-    disjoint: dict[str, DisjointCurveBounds] = {}
+        old = state.lengths[cid]
+        factors = graft_factors(old.hi, weight)
+        new_lengths[cid] = _propagated(
+            f"of curve {cid!r}", factors.lower * old.lo, factors.upper * old.hi
+        )
     for cid in state.ids_with_role(Role.DISJOINT):
         state.require_short([cid])
-        disjoint[cid] = _disjoint_bounds(cid, state.lengths[cid], constants)
-
-    new_lengths: dict[str, LengthInterval] = {}
-    new_lengths.update({cid: sb.new for cid, sb in support.items()})
-    new_lengths.update({cid: db.new for cid, db in disjoint.items()})
-    return GraftBoundsReport(
-        support=support,
-        disjoint=disjoint,
-        epsilon=state.epsilon,
-        new_state=state.with_lengths(new_lengths),
-    )
+        old = state.lengths[cid]
+        lower = max(separation_factor(old.hi), 1.0 / (1.0 + old.hi))
+        new_lengths[cid] = _propagated(f"of curve {cid!r}", lower * old.lo, old.hi)
+    return state.with_lengths(new_lengths)

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import annuli, dilatation, dynamics, grafting, hypgeom
 from .beltrami import beltrami_estimate
+from .config import DEFAULT_CONSTANTS, Constants
 from .errors import ScenarioError
 from .qcmaps import BoundaryDistortion, compose_maps, scaling_map, shearing_map, twist_map
 
@@ -70,7 +71,7 @@ def _resolve_tolerances(overrides: dict[str, float]) -> dict[str, float]:
 # ---------------------------------------------------------------- hypgeom
 
 
-def suite_hypgeom(lattice: int, rng, tolerances) -> list[CheckResult]:
+def suite_hypgeom(lattice: int, rng, tolerances, constants: Constants) -> list[CheckResult]:
     out = []
 
     r = [i * 1e-4 for i in range(1, 3001)]  # (0, 0.3]
@@ -160,7 +161,7 @@ def suite_hypgeom(lattice: int, rng, tolerances) -> list[CheckResult]:
 # ----------------------------------------------------------------- qcmaps
 
 
-def suite_qcmaps(lattice: int, rng, tolerances) -> list[CheckResult]:
+def suite_qcmaps(lattice: int, rng, tolerances, constants: Constants) -> list[CheckResult]:
     out = []
 
     tol = tolerances["modulus_scale_invariance"]
@@ -302,7 +303,7 @@ def suite_qcmaps(lattice: int, rng, tolerances) -> list[CheckResult]:
         )
     )
 
-    chain = [dilatation.untwist_chain(l, 2.0 * math.pi) for l in L_GRID[1:]]
+    chain = [dilatation.untwist_chain(l, 2.0 * math.pi, constants.T_radius) for l in L_GRID[1:]]
     effective = [c.effective_c for c in chain]
     out.append(
         CheckResult(
@@ -315,7 +316,9 @@ def suite_qcmaps(lattice: int, rng, tolerances) -> list[CheckResult]:
     # The central estimate: the comparison map's log-dilatation is at most
     # C * l^{1/8}, so total / l^{1/8} must not grow as l shrinks; on L_GRID
     # it strictly decreases.
-    effective = [[dilatation.comparison_budget(l, t).effective_c for l in L_GRID] for t in T_GRID]
+    effective = [
+        [dilatation.comparison_budget(l, t, constants).effective_c for l in L_GRID] for t in T_GRID
+    ]
     decrease = min(a - b for row in effective for a, b in zip(row, row[1:]))
     out.append(
         CheckResult(
@@ -331,7 +334,7 @@ def suite_qcmaps(lattice: int, rng, tolerances) -> list[CheckResult]:
 # --------------------------------------------------------------- grafting
 
 
-def suite_grafting(lattice: int, rng, tolerances) -> list[CheckResult]:
+def suite_grafting(lattice: int, rng, tolerances, constants: Constants) -> list[CheckResult]:
     out = []
     tol = tolerances["factor_identity"]
 
@@ -344,14 +347,14 @@ def suite_grafting(lattice: int, rng, tolerances) -> list[CheckResult]:
             state = grafting.LengthState(
                 roles={"g": grafting.Role.SUPPORT}, lengths={"g": interval}
             )
-            bounds = grafting.graft_length_bounds(
+            new = grafting.graft_length_bounds(
                 state, grafting.WeightedMulticurve({"g": t})
-            ).support["g"]
-            new = bounds.new
+            ).lengths["g"]
+            upper = grafting.graft_factors(interval.hi, t).upper
             sandwich_ok &= new.lo <= new.hi and new.hi < interval.hi
-            mid = bounds.upper_factor * interval.lo
+            mid = upper * interval.lo
             chain_ok &= new.lo <= mid <= new.hi
-            factor_err = max(factor_err, abs(bounds.upper_factor - math.pi / (math.pi + t)))
+            factor_err = max(factor_err, abs(upper - math.pi / (math.pi + t)))
     out.append(CheckResult("sandwich_lo_leq_hi_and_hi_strictly_decreases", sandwich_ok))
     out.append(CheckResult("lower_bound_below_scaled_lower_endpoint", chain_ok))
     out.append(
@@ -374,7 +377,7 @@ def suite_grafting(lattice: int, rng, tolerances) -> list[CheckResult]:
     for l in L_GRID:
         for t in T_GRID:
             interval = grafting.single_curve_graft_bounds(l, t)
-            radius = grafting.bounding_radius(interval.hi, interval.lo, l)
+            radius = grafting.bounding_radius(interval.hi, interval.lo, l, constants.K2)
             moduli = grafting.bounding_annulus_moduli(interval.hi, radius.exact)
             ratio_ok &= moduli.ratio <= moduli.ratio_bound
     out.append(CheckResult("bounding_moduli_ratio_below_r_form_bound", ratio_ok))
@@ -382,7 +385,7 @@ def suite_grafting(lattice: int, rng, tolerances) -> list[CheckResult]:
     implied = True
     for l in np.geomspace(1e-3, 0.4, 30):
         for t in T_GRID:
-            check = grafting.collar_containment_check(float(l), t)
+            check = grafting.collar_containment_check(float(l), t, constants.K2)
             if check.sufficient_ok and not check.cap_ok:
                 implied = False
     out.append(CheckResult("sufficient_condition_implies_containment", implied))
@@ -417,7 +420,7 @@ def suite_grafting(lattice: int, rng, tolerances) -> list[CheckResult]:
 # --------------------------------------------------------------- dynamics
 
 
-def suite_dynamics(lattice: int, rng, tolerances) -> list[CheckResult]:
+def suite_dynamics(lattice: int, rng, tolerances, constants: Constants) -> list[CheckResult]:
     out = []
     t = 2.0 * math.pi
     state = grafting.LengthState(
@@ -456,14 +459,14 @@ def suite_dynamics(lattice: int, rng, tolerances) -> list[CheckResult]:
     )
 
     tol = tolerances["lift_radius_tail"]
-    partials = [dynamics.iterated_lift_radius(0.1, t, 1.0, n) for n in range(30)]
+    partials = [dynamics.iterated_lift_radius(0.1, t, constants.C, n) for n in range(30)]
     limit = partials[0].limit
     mono = all(
         b.partial_sum > a.partial_sum for a, b in zip(partials, partials[1:])
     ) and all(p.partial_sum < limit for p in partials)
     q = partials[0].ratio
     worst = max(
-        abs(limit - p.partial_sum - 0.1**0.125 * q ** (p.n + 1) / (1.0 - q))
+        abs(limit - p.partial_sum - constants.C * 0.1**0.125 * q ** (p.n + 1) / (1.0 - q))
         for p in partials
     )
     out.append(
@@ -499,7 +502,7 @@ def suite_dynamics(lattice: int, rng, tolerances) -> list[CheckResult]:
     )
 
     tol = tolerances["cauchy_ratio"]
-    cauchy = dynamics.endpoint_cauchy_analysis(traj, 1.0)
+    cauchy = dynamics.endpoint_cauchy_analysis(traj, constants.C)
     worst = max(abs(r - cauchy.expected_ratio) for r in cauchy.consecutive_ratios)
     out.append(
         CheckResult("cauchy_consecutive_ratio_exact", worst <= tol, margin=tol - worst, tolerance=tol)
@@ -530,11 +533,11 @@ def suite_dynamics(lattice: int, rng, tolerances) -> list[CheckResult]:
         },
     )
     tube = dynamics.holonomy_tube_radius(
-        multi, grafting.WeightedMulticurve({"g1": 2.0 * math.pi, "g2": 4.0 * math.pi})
+        multi, grafting.WeightedMulticurve({"g1": 2.0 * math.pi, "g2": 4.0 * math.pi}), constants.C
     )
     ok = abs(tube.radius - sum(v for _, v in tube.terms)) <= 1e-15
     single = dynamics.holonomy_tube_radius(
-        multi, grafting.WeightedMulticurve({"g1": 2.0 * math.pi, "g2": 2.0 * math.pi})
+        multi, grafting.WeightedMulticurve({"g1": 2.0 * math.pi, "g2": 2.0 * math.pi}), constants.C
     )
     ok &= single.terms[1][1] == 0.0
     out.append(CheckResult("tube_radius_is_sum_of_terms", ok))
@@ -554,21 +557,23 @@ def run_suite(
     lattice: int = 129,
     seed: int = 0,
     tolerances: dict[str, float] | None = None,
+    constants: Constants = DEFAULT_CONSTANTS,
 ) -> list[CheckResult]:
     """Run one named suite (or all) and return its check results.
 
     ``tolerances`` overrides entries of :data:`TOLERANCES`; an unknown name,
     or a value that is not a finite number >= 0, raises ScenarioError.
+    ``constants`` supplies every universal constant the checks take.
     """
     tolerances = _resolve_tolerances(tolerances or {})
     rng = np.random.default_rng(seed)
     if name == "all":
         results = []
         for suite_name in ("hypgeom", "qcmaps", "grafting", "dynamics"):
-            for check in SUITES[suite_name](lattice, rng, tolerances):
+            for check in SUITES[suite_name](lattice, rng, tolerances, constants):
                 check.name = f"{suite_name}.{check.name}"
                 results.append(check)
         return results
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](lattice, rng, tolerances)
+    return SUITES[name](lattice, rng, tolerances, constants)

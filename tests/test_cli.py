@@ -138,6 +138,7 @@ class TestInputContract:
                 {"lamination": {"g": 1e200}, "mode": "ray", "s_values": [1, 1e200]},
                 "s_values[1]",
             ),
+            ("simulate", {"constants": {"K3": 1.0}}, "constants.K3"),
         ],
     )
     def test_cli_names_the_field_in_one_line(self, tmp_path, capsys, command, change, field):
@@ -216,6 +217,25 @@ class TestVerifyCommand:
     def test_qcmaps_suite_passes_small_lattice(self, tmp_path):
         code = main(["verify", "qcmaps", "--lattice", "65", "--out", str(tmp_path)])
         assert code == 0
+
+    def test_checks_use_the_constants_they_echo(self, tmp_path, monkeypatch):
+        def untwist_details(out):
+            assert main(["verify", "qcmaps", "--lattice", "33", "--out", str(out)]) == 0
+            report = json.loads((out / "verify_qcmaps.json").read_text())
+            (check,) = [
+                c for c in report["checks"]
+                if c["name"] == "untwist_chain_effective_constant_bounded"
+            ]
+            return report["constants"]["T_radius"], check["details"]
+
+        monkeypatch.delenv("GRAFTLAB_CONSTANTS", raising=False)
+        default_radius, default = untwist_details(tmp_path / "default")
+        env_file = tmp_path / "constants.json"
+        env_file.write_text(json.dumps({"T_radius": 3.0}))
+        monkeypatch.setenv("GRAFTLAB_CONSTANTS", str(env_file))
+        radius, details = untwist_details(tmp_path / "custom")
+        assert (default_radius, radius) == (1.0, 3.0)
+        assert details["max"] > default["max"]
 
     def test_tolerance_override_can_fail_suite(self, tmp_path):
         code = main(
@@ -325,11 +345,20 @@ class TestSimulateCommand:
         path = write_scenario(tmp_path, lamination={"g": 1e30})
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 0
 
-    def test_enclosure_below_float_resolution_is_one_line(self, tmp_path, capsys):
-        path = write_scenario(tmp_path, lengths={"g": [1e-20, 1e-20]})
-        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "narrower than float64 resolves" in err and err.count("\n") == 1
+    def test_short_enclosures_run_to_the_end(self, tmp_path):
+        # A step propagates lengths only: no bounding annulus is built from
+        # the width of the new enclosure, so neither a zero width nor a wide
+        # one stops the run.
+        t = SCENARIO["lamination"]["g"]
+        for i, lengths in enumerate([{"g": [1e-20, 1e-20]}, {"g": [1e-3, 0.1], "d": [0.05, 0.1]}]):
+            run = tmp_path / str(i)
+            run.mkdir()
+            curves = [{"id": c, "role": "support" if c == "g" else "disjoint"} for c in lengths]
+            path = write_scenario(run, curves=curves, lengths=lengths, epsilon=0.1)
+            assert main(["simulate", "--scenario", str(path), "--out", str(run)]) == 0
+            hi = json.loads((run / "report.json").read_text())["final_lengths"]["g"][1]
+            expected = lengths["g"][1] * (math.pi / (math.pi + t)) ** SCENARIO["steps"]
+            assert hi == pytest.approx(expected, rel=1e-14)
 
     def test_lower_bound_rounding_to_0_stops_with_one_line(self, tmp_path, capsys):
         # lo drops from a normal float straight to 0.0 at step 8.
@@ -454,7 +483,9 @@ class TestGoldenOutputs:
     when the collar sector angle stopped being computed as pi/2 - phi, which
     changed the sector_angles_sum_half_pi margin, and once more when the
     qcmaps suite gained comparison_budget_eighth_power_law; every other
-    line stayed the same.
+    line stayed the same.  The four report.json digests and verify_all.json
+    were retaken when Constants.K3 was removed; the dropped "K3" line of
+    the constants echo is their only change.
     """
 
     SHEAR_SPEC = {"kind": "shear", "params": {"a": 2.0, "amplitude": 0.3}, "lattices": [33, 65]}
@@ -470,7 +501,7 @@ class TestGoldenOutputs:
         "mu_65.csv": "42da1af35b8ba0d24c800cd4015527147e5626f61f9b549b2e4fa7ee34ec8245",
         "qc_report.json": "01725107be4e5b9ddddb6593e1a9cc30ae1cf0dc324a8092e84003bac8d65ce8",
     }
-    VERIFY_ALL = "1f10d9515218a1030bd6c7298fc8d39807a5979c1064af2517c69aa5c6f699a3"
+    VERIFY_ALL = "8ab4d8ce15466ebfcb6558dbb966aa8c4a657dce929c77f716c441123d8a13ac"
 
     @pytest.fixture(autouse=True)
     def _default_constants(self, monkeypatch):
@@ -491,20 +522,20 @@ class TestGoldenOutputs:
     SIMULATE = {
         "iterate_two_pi": {
             "trajectory.csv": "4b4ffb672ae26b2b8c41ef7a02bfced7bbbd8410824dd32e59387b91062676af",
-            "report.json": "f117ba384dee4d500c61375de895e0d2690978ecfe08d931cce7b9129898da27",
+            "report.json": "7f0f3d8f314c1ac04402cb1082d63936dd719b89fd9340d80a8050cc48d5b79a",
         },
         "counterexample": {
             "trajectory.csv": "7d5ff37ebbc5cd04a0c76454171c2fb2d7a9acdec8e43587b6d667cbeee6cdf8",
-            "report.json": "57ebb28de38f64672f270c32676d81e717d66ed8b7c8d31337ac59465dcddfd9",
+            "report.json": "99a5345dcf6309e3bb4ab57379d68c06a2df22bea01d62f9e882b5e2c2e9ccd1",
             "ratios.csv": "389fefa2a4a3651779745846ccdf6d4363bdd9ae589cc724253f2372dae1db7d",
         },
         "cauchy_endpoints": {
             "trajectory.csv": "c450da3238aa92c94007f05ffd9a2208caa8711664467418b243817f58fee117",
-            "report.json": "1cfba3a6ea9cc84059e2d67335f272bff95d75091180a9c1fad86319e4fc2311",
+            "report.json": "082e5d9a9c8c4943e12e7312638b1e65fb1bba4dac565059e1a1911cc7f375f0",
         },
         "accumulation": {
             "trajectory.csv": "4b4ffb672ae26b2b8c41ef7a02bfced7bbbd8410824dd32e59387b91062676af",
-            "report.json": "4930d8c6a193a1ad54e13693749a5d9ef1c6ce1877ed37fdf6034c7cc4d7618e",
+            "report.json": "24fa3605a83b3a59b4f377e09fc95b9458ab0caad18dbdefd199c4429a994d54",
         },
     }
 

@@ -166,6 +166,13 @@ class TestIteratedLiftRadius:
         geometric_tail = 0.1**0.125 * LIFT_Q_2PI**40 / (1.0 - LIFT_Q_2PI)
         assert tail == pytest.approx(geometric_tail, rel=1e-10)
 
+    def test_ratio_rounding_to_one_has_no_finite_limit(self):
+        # decay_factor(7.6e-19) ** (1/8) rounds to 1.0.
+        bound = iterated_lift_radius(0.1, 7.6e-19, 1.0, 3)
+        assert bound.ratio == 1.0
+        assert bound.limit == math.inf
+        assert bound.partial_sum == 4 * 0.1**0.125
+
 
 class TestCollapseDistance:
     def test_vanishes_without_cylinder(self):
