@@ -4,8 +4,17 @@ Reports must be byte-identical across runs of the same inputs and version,
 so: dictionary keys are emitted sorted, every float in JSON and CSV goes
 through format_float (17 significant digits, round-trip exact for binary64),
 and nothing time-dependent enters the files (wall-clock timings go to the
-console only).  csv_lines is the only CSV formatter; it reads a sequence of
-rows or a 2-D numpy array column by column and yields the lines one by one.
+console only).
+
+csv_lines is the only CSV writer.  It takes a sequence of equal-length rows
+or a 2-D numpy array.  A float array is formatted and yielded in blocks of
+BLOCK_ROWS rows, so it is never held as Python objects all at once, and
+within a block each column is formatted one distinct value at a time:
+values are told apart by their float64 bit pattern (so -0.0 and 0.0 stay
+distinct), each is passed to format_float once, and the rows index the
+resulting cells.  Row lists and integer or boolean arrays go through _cell
+one cell at a time and are yielded line by line.  Both paths write the
+same bytes for the same values.
 """
 
 from __future__ import annotations
@@ -20,6 +29,8 @@ from typing import Iterator
 import numpy as np
 
 __all__ = ["format_float", "dumps", "write_json", "csv_lines", "write_csv", "jsonable"]
+
+BLOCK_ROWS = 1 << 16  # rows formatted and written per block of CSV text
 
 
 def format_float(x: float) -> str:
@@ -106,11 +117,28 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _float_cells(column: np.ndarray) -> list[str]:
+    """format_float of every value of ``column``, called once per distinct bit pattern."""
+    bits = column.astype(np.float64, copy=False).view(np.int64)
+    bits, inverse = np.unique(bits, return_inverse=True)
+    cells = np.array([format_float(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return cells[inverse].tolist()
+
+
 def csv_lines(header: list[str], rows) -> Iterator[str]:
-    """Newline-terminated CSV lines; ``rows`` are equal-length rows or a 2-D array."""
+    """Newline-terminated CSV text; ``rows`` are equal-length rows or a 2-D array.
+
+    Yields the header line, then one string per block of BLOCK_ROWS lines
+    for a float array, or one string per line otherwise.
+    """
+    yield ",".join(header) + "\n"
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+        for start in range(0, len(rows), BLOCK_ROWS):
+            cells = [_float_cells(column) for column in rows[start : start + BLOCK_ROWS].T]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        return
     columns = rows.T.tolist() if isinstance(rows, np.ndarray) else zip(*rows, strict=True)
     cells = [map(_cell, column) for column in columns]
-    yield ",".join(header) + "\n"
     for line in zip(*cells):
         yield ",".join(line) + "\n"
 

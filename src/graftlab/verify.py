@@ -15,7 +15,7 @@ import numpy as np
 from . import annuli, dilatation, dynamics, grafting, hypgeom
 from .beltrami import beltrami_estimate
 from .config import DEFAULT_CONSTANTS, Constants
-from .errors import ScenarioError
+from .errors import GeometryError, ScenarioError, ShortnessError
 from .qcmaps import BoundaryDistortion, compose_maps, scaling_map, shearing_map, twist_map
 
 __all__ = ["CheckResult", "SUITES", "TOLERANCES", "run_suite"]
@@ -54,6 +54,12 @@ TOLERANCES = {
     "cauchy_tail": 1e-12,
     "threshold_linear": 1e-12,
 }
+
+
+# A stated precondition of an estimate that fails under the constants in
+# force (say epsilon below a grid length) fails the check that needs it;
+# the other checks still run and the report is still written.
+PRECONDITION_ERRORS = (ShortnessError, GeometryError)
 
 
 def _resolve_tolerances(overrides: dict[str, float]) -> dict[str, float]:
@@ -303,31 +309,43 @@ def suite_qcmaps(lattice: int, rng, tolerances, constants: Constants) -> list[Ch
         )
     )
 
-    chain = [dilatation.untwist_chain(l, 2.0 * math.pi, constants.T_radius) for l in L_GRID[1:]]
-    effective = [c.effective_c for c in chain]
-    out.append(
-        CheckResult(
-            "untwist_chain_effective_constant_bounded",
-            all(math.isfinite(c) and c > 0.0 for c in effective),
-            details={"effective_c": effective, "max": max(effective)},
+    name = "untwist_chain_effective_constant_bounded"
+    try:
+        chain = [dilatation.untwist_chain(l, 2.0 * math.pi, constants.T_radius) for l in L_GRID[1:]]
+    except PRECONDITION_ERRORS as exc:
+        out.append(CheckResult(name, False, details={"precondition_failed": str(exc)}))
+    else:
+        effective = [c.effective_c for c in chain]
+        out.append(
+            CheckResult(
+                name,
+                all(math.isfinite(c) and c > 0.0 for c in effective),
+                details={"effective_c": effective, "max": max(effective)},
+            )
         )
-    )
 
     # The central estimate: the comparison map's log-dilatation is at most
     # C * l^{1/8}, so total / l^{1/8} must not grow as l shrinks; on L_GRID
     # it strictly decreases.
-    effective = [
-        [dilatation.comparison_budget(l, t, constants).effective_c for l in L_GRID] for t in T_GRID
-    ]
-    decrease = min(a - b for row in effective for a, b in zip(row, row[1:]))
-    out.append(
-        CheckResult(
-            "comparison_budget_eighth_power_law",
-            all(math.isfinite(c) and c > 0.0 for row in effective for c in row) and decrease > 0.0,
-            margin=decrease,
-            details={"t": T_GRID, "effective_c": effective},
+    name = "comparison_budget_eighth_power_law"
+    try:
+        effective = [
+            [dilatation.comparison_budget(l, t, constants).effective_c for l in L_GRID]
+            for t in T_GRID
+        ]
+    except PRECONDITION_ERRORS as exc:
+        out.append(CheckResult(name, False, details={"precondition_failed": str(exc)}))
+    else:
+        decrease = min(a - b for row in effective for a, b in zip(row, row[1:]))
+        out.append(
+            CheckResult(
+                name,
+                all(math.isfinite(c) and c > 0.0 for row in effective for c in row)
+                and decrease > 0.0,
+                margin=decrease,
+                details={"t": T_GRID, "effective_c": effective},
+            )
         )
-    )
     return out
 
 

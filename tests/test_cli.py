@@ -237,6 +237,30 @@ class TestVerifyCommand:
         assert (default_radius, radius) == (1.0, 3.0)
         assert details["max"] > default["max"]
 
+    @pytest.mark.parametrize(
+        "constants, name, reason",
+        [
+            ({"epsilon": 0.05}, "qcmaps.comparison_budget_eighth_power_law",
+             "above short-curve threshold 0.05"),
+            ({"T_radius": 100.0}, "qcmaps.untwist_chain_effective_constant_bounded",
+             "bounding annulus exits collar"),
+        ],
+    )
+    def test_unmet_precondition_fails_its_check_only(
+        self, tmp_path, monkeypatch, capsys, constants, name, reason
+    ):
+        env_file = tmp_path / "constants.json"
+        env_file.write_text(json.dumps(constants))
+        monkeypatch.setenv("GRAFTLAB_CONSTANTS", str(env_file))
+        code = main(["verify", "all", "--lattice", "33", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "out" / "verify_all.json").read_text())
+        assert report["passed"] is False
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == [name]
+        assert reason in failed[0]["details"]["precondition_failed"]
+
     def test_tolerance_override_can_fail_suite(self, tmp_path):
         code = main(
             [
@@ -486,6 +510,10 @@ class TestGoldenOutputs:
     line stayed the same.  The four report.json digests and verify_all.json
     were retaken when Constants.K3 was removed; the dropped "K3" line of
     the constants echo is their only change.
+
+    The lattice-257 digests (66 049 rows, more than one block of
+    report.BLOCK_ROWS) were taken at the parent of the change that made
+    csv_lines format each distinct float once per block, before it.
     """
 
     SHEAR_SPEC = {"kind": "shear", "params": {"a": 2.0, "amplitude": 0.3}, "lattices": [33, 65]}
@@ -500,6 +528,16 @@ class TestGoldenOutputs:
         "mu_33.csv": "11b0a0ecbc12526a28371aba52f35aeea9a5603a20c08ba0bb485474be189814",
         "mu_65.csv": "42da1af35b8ba0d24c800cd4015527147e5626f61f9b549b2e4fa7ee34ec8245",
         "qc_report.json": "01725107be4e5b9ddddb6593e1a9cc30ae1cf0dc324a8092e84003bac8d65ce8",
+    }
+    QC_257 = {
+        "twist": {
+            "mu_257.csv": "b2ecdd3e3a9199315fdee530668843918e8ea01cde3bd911cbd5811944a1d652",
+            "qc_report.json": "6f43ce62cfde4ad51a111570a1b923dd0379b3177245c167f387335dd0987331",
+        },
+        "shear": {
+            "mu_257.csv": "7921a225cfe7fb9c7a22671d268cdd108ad662488ecca05c7d530b5f60a91d32",
+            "qc_report.json": "cb3a034e21a37d487b6e8657db8c7249e4a90b19fb163d70a6eb9e9909b58b2b",
+        },
     }
     VERIFY_ALL = "8ab4d8ce15466ebfcb6558dbb966aa8c4a657dce929c77f716c441123d8a13ac"
 
@@ -518,6 +556,19 @@ class TestGoldenOutputs:
         out = tmp_path / "out"
         assert main(["qc-check", "--scenario", str(spec), "--out", str(out)]) == 0
         assert {name: sha256(out / name) for name in self.QC_SHEAR} == self.QC_SHEAR
+
+    @pytest.mark.parametrize("kind", sorted(QC_257))
+    def test_qc_tables_span_several_blocks(self, tmp_path, kind):
+        shipped = {
+            "twist": json.loads((SCENARIOS / "qc_twist_refinement.json").read_text()),
+            "shear": self.SHEAR_SPEC,
+        }[kind]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(shipped, lattices=[257])))
+        out = tmp_path / "out"
+        assert main(["qc-check", "--scenario", str(spec), "--out", str(out)]) == 0
+        expected = self.QC_257[kind]
+        assert {name: sha256(out / name) for name in expected} == expected
 
     SIMULATE = {
         "iterate_two_pi": {

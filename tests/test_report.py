@@ -1,10 +1,20 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from graftlab.report import dumps, format_float, jsonable, write_csv
+from graftlab import report
+from graftlab.report import BLOCK_ROWS, dumps, format_float, jsonable, write_csv
+
+# Values whose cells are easy to get wrong: signed zeros, non-finite values,
+# the edges of the integral "%.1f" rule and subnormals.
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 1e16, -1e16, 9999999999999998.0,
+    -9999999999999998.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -5.0, 0.1,
+]
 
 
 class TestFloatFormat:
@@ -81,3 +91,50 @@ class TestCsv:
         path = tmp_path / "t.csv"
         write_csv(path, ["a", "b"], rows=np.zeros((5, 2)))
         assert len(path.read_text().splitlines()) == 6
+
+
+def reference_csv(header, table: np.ndarray) -> str:
+    """The CSV text of ``table`` formatted one cell at a time."""
+    lines = [",".join(header)] + [",".join(map(format_float, row)) for row in table.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+class TestFloatTables:
+    """Float arrays are formatted once per distinct value and per block; the
+    bytes must match the per-cell reference."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        specials=st.sets(st.sampled_from(range(len(SPECIAL_FLOATS))), min_size=1),
+        others=st.lists(st.floats(), max_size=3),
+        n_cols=st.integers(1, 3),
+        n_rows=st.integers(0, 40),
+        block_rows=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_matches_per_cell_reference(
+        self, tmp_path, specials, others, n_cols, n_rows, block_rows, data
+    ):
+        # A small pool drawn from by index gives columns with many repeats.
+        pool = [SPECIAL_FLOATS[i] for i in sorted(specials)] + others
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                   min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+        table = np.array([pool[i] for i in picks], dtype=float).reshape(n_rows, n_cols)
+        header = [f"c{j}" for j in range(n_cols)]
+        with mock.patch.object(report, "BLOCK_ROWS", block_rows):
+            write_csv(tmp_path / "t.csv", header, table)
+        assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, table).encode()
+
+    @pytest.mark.parametrize("n_rows", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    def test_tables_around_the_block_size(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        values = np.array(SPECIAL_FLOATS + rng.normal(size=50).tolist())
+        table = values[rng.integers(0, len(values), size=(n_rows, 3))]
+        write_csv(tmp_path / "t.csv", ["a", "b", "c"], table)
+        assert (tmp_path / "t.csv").read_bytes() == reference_csv(["a", "b", "c"], table).encode()
+
+    def test_signed_zeros_in_one_column_stay_distinct(self, tmp_path):
+        # 0.0 == -0.0, so deduplicating on the float value would merge them.
+        write_csv(tmp_path / "t.csv", ["z"], np.array([[0.0], [-0.0], [0.0], [-0.0]]))
+        assert (tmp_path / "t.csv").read_text() == "z\n0.0\n-0.0\n0.0\n-0.0\n"
