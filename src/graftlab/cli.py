@@ -21,7 +21,14 @@ from .beltrami import beltrami_estimate, convergence_order
 from .errors import GraftLabError, ScenarioError
 from .qcmaps import BoundaryDistortion, scaling_map, shearing_map, twist_map
 from .report import write_csv, write_json
-from .scenario import MapSpec, check_lattice, load_map_spec, load_scenario, resolve_constants
+from .scenario import (
+    DEFAULT_LATTICE,
+    MapSpec,
+    check_lattice,
+    load_map_spec,
+    load_scenario,
+    resolve_constants,
+)
 from .verify import run_suite
 
 __all__ = ["main"]
@@ -198,7 +205,8 @@ def _build_map(spec: MapSpec, lattice: int):
 
 
 def _cmd_qc_check(args) -> int:
-    spec = load_map_spec(args.scenario, check_lattice(args.lattice, "--lattice"))
+    lattice = None if args.lattice is None else check_lattice(args.lattice, "--lattice")
+    spec = load_map_spec(args.scenario, lattice)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     series = []
@@ -256,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "suite", choices=["hypgeom", "qcmaps", "grafting", "dynamics", "all"]
     )
-    p_verify.add_argument("--lattice", type=int, default=129)
+    p_verify.add_argument("--lattice", type=int, default=DEFAULT_LATTICE)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", default="out")
     p_verify.add_argument("--tolerance", action="append", default=[], metavar="NAME=VALUE")
@@ -269,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_qc = sub.add_parser("qc-check", help="numerical dilatation check of a building-block map")
     p_qc.add_argument("--scenario", required=True, help="JSON map spec {kind, params, lattices}")
-    p_qc.add_argument("--lattice", type=int, default=129)
+    p_qc.add_argument(
+        "--lattice", type=int, help=f"lattice of a spec without lattices (default {DEFAULT_LATTICE})"
+    )
     p_qc.add_argument("--out", default="out")
     p_qc.set_defaults(func=_cmd_qc_check)
     return parser

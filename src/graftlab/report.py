@@ -1,20 +1,47 @@
 """Deterministic report serialization.
 
 Reports must be byte-identical across runs of the same inputs and version,
-so: dictionary keys are emitted sorted, every float in JSON and CSV goes
-through format_float (17 significant digits, round-trip exact for binary64),
-and nothing time-dependent enters the files (wall-clock timings go to the
-console only).
+so: dictionary keys are emitted sorted, every float in JSON and CSV is
+written as format_float writes it (17 significant digits, round-trip exact
+for binary64), and nothing time-dependent enters the files (wall-clock
+timings go to the console only).
 
 csv_lines is the only CSV writer.  It takes a sequence of equal-length rows
-or a 2-D numpy array.  A float array is formatted and yielded in blocks of
-BLOCK_ROWS rows, so it is never held as Python objects all at once, and
-within a block each column is formatted one distinct value at a time:
-values are told apart by their float64 bit pattern (so -0.0 and 0.0 stay
-distinct), each is passed to format_float once, and the rows index the
-resulting cells.  Row lists and integer or boolean arrays go through _cell
-one cell at a time and are yielded line by line.  Both paths write the
+or a 2-D numpy array.  Row lists and integer or boolean arrays go through
+_cell one cell at a time and are yielded line by line.  A float array is
+written in blocks of BLOCK_ROWS rows.  Within a block each column is
+deduplicated on the float64 bit pattern (so -0.0 and 0.0 stay distinct),
+each distinct value becomes one NUL-padded row of bytes, the rows of the
+block gather their cells, and the block's text is that byte array with
+"," and "\n" between the cells and the NULs dropped.  Both paths write the
 same bytes for the same values.
+
+The distinct values are formatted in numpy by an exact %.17g on the fast
+path: finite, non-integral values with 1e-6 < |x| < 1e16.  Every other
+value (NaN, infinities, signed zeros, integral values, |x| <= 1e-6 and
+subnormals) goes through format_float one at a time.  Why the fast path
+writes what f"{x:.17g}" writes:
+
+- Domain.  A non-integral double has |x| < 2**52, so its decimal exponent
+  E = floor(log10 |x|) lies in [-6, 15] and k = 16 - E in [1, 22].  (The
+  double nearest 1e-6 lies below 1e-6, has E = -7 and takes the slow path.)
+- Exact product.  |x| * 2**k is exact, and so is 5**k, because
+  5**22 < 2**53.  Dekker's error-free product (Veltkamp split by 2**27 + 1;
+  T. J. Dekker, Numer. Math. 18, 1971) gives p + err == |x| * 10**k
+  exactly.
+- Exponent.  E starts from floor(log10 |x|), which can be off by one next
+  to a power of ten, and is corrected by testing the exact p + err against
+  1e16 and 1e17, never a rounded value.  A test on the rounded product
+  would give the double nearest 1e-6, which is 1e-6 (1 - 4.5e-17), E = -6,
+  because its product rounds up to 1e16 at k = 22.
+- Tie parity.  p >= 1e16 > 2**53 is an even integer, so
+  N = p + rint(err), with rint rounding half to even, is the
+  round-half-even of p + err, which is how CPython's correctly rounded
+  %.17g rounds.  N < 1e17 because no double below 10**(E+1) lies within
+  half a unit of the 17th digit of it (the closest in the domain lies
+  8.3e-17 below, relative, against 5e-18).
+- Layout.  %.17g uses fixed notation for -4 <= E <= 15 and d.ddde-0X for
+  E in {-6, -5}, and drops trailing zeros and then a trailing point.
 """
 
 from __future__ import annotations
@@ -30,7 +57,8 @@ import numpy as np
 
 __all__ = ["format_float", "dumps", "write_json", "csv_lines", "write_csv", "jsonable"]
 
-BLOCK_ROWS = 1 << 16  # rows formatted and written per block of CSV text
+BLOCK_ROWS = 1 << 14  # rows formatted and written per block of CSV text
+_WIDTH = 24  # bytes of the widest cell, "-2.2250738585072014e-308"
 
 
 def format_float(x: float) -> str:
@@ -117,32 +145,128 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _float_cells(column: np.ndarray) -> list[str]:
-    """format_float of every value of ``column``, called once per distinct bit pattern."""
-    bits = column.astype(np.float64, copy=False).view(np.int64)
-    bits, inverse = np.unique(bits, return_inverse=True)
-    cells = np.array([format_float(x) for x in bits.view(np.float64).tolist()], dtype=object)
-    return cells[inverse].tolist()
+_SPLIT = 134217729.0  # 2**27 + 1
 
 
-def csv_lines(header: list[str], rows) -> Iterator[str]:
+def _split(a):
+    """Veltkamp's split: a == hi + lo exactly, each with at most 26 significant bits."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW5 = (5 ** np.arange(23, dtype=np.int64)).astype(np.float64)  # exact: 5**22 < 2**53
+_POW5_HI, _POW5_LO = _split(_POW5)
+_DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+# Entry g holds the four ASCII digits of g as the four bytes of a uint32.
+_DIGITS = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
+
+
+def _times_pow10(ax: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, err) with p + err == ax * 10**k exactly, for 0 <= k <= 22.
+
+    Dekker's error-free product of ax * 2**k and 5**k, both exact doubles.
+    """
+    a = np.ldexp(ax, k)
+    p = a * _POW5[k]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW5_HI[k], _POW5_LO[k]
+    return p, a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+
+
+def _exact_digits(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, E): the 17 significant digits of each ``ax`` as an integer, and its decimal exponent.
+
+    ``ax`` is positive and in the fast-path domain; 1e16 <= N < 1e17 is the
+    round-half-even of ax * 10**(16 - E).
+    """
+    e = np.clip(np.floor(np.log10(ax)), -6, 15).astype(np.int64)
+    p, err = _times_pow10(ax, 16 - e)
+    low = (p < 1e16) | ((p == 1e16) & (err < 0))  # p + err < 1e16, exactly
+    high = (p > 1e17) | ((p == 1e17) & (err >= 0))  # p + err >= 1e17, exactly
+    fix = low | high
+    if fix.any():
+        e[fix] += high[fix].astype(np.int64) - low[fix]
+        p[fix], err[fix] = _times_pow10(ax[fix], 16 - e[fix])
+    return p.astype(np.int64) + np.rint(err).astype(np.int64), e
+
+
+# A fast cell is gathered from a source row of 25 bytes: the 17 digits
+# (trailing zeros as NUL), the decimal point (NUL when no digit follows it),
+# the constants "0", "e", "-", "5", "6", the sign ("-" or NUL) and NUL.
+_DOT, _ZERO, _E, _MINUS, _FIVE, _SIX, _SIGN, _NUL = range(17, 25)
+_LAYOUT = np.full((22, _WIDTH), _NUL)  # row E + 6: source columns of a cell, as %.17g lays it out
+for _e in range(-6, 16):
+    if _e >= 0:
+        _cols = [_SIGN, *range(_e + 1), _DOT, *range(_e + 1, 17)]
+    elif _e >= -4:
+        _cols = [_SIGN, _ZERO, _DOT, *[_ZERO] * (-_e - 1), *range(17)]
+    else:
+        _cols = [_SIGN, 0, _DOT, *range(1, 17), _E, _MINUS, _ZERO, _FIVE if _e == -5 else _SIX]
+    _LAYOUT[_e + 6, : len(_cols)] = _cols
+del _e, _cols
+
+
+def _fast_cells(x: np.ndarray) -> np.ndarray:
+    """The cells of values in the fast-path domain, as rows of _WIDTH NUL-padded bytes."""
+    n, e = _exact_digits(np.abs(x))
+    high, low = np.divmod(n, 10**8)
+    lead, high = np.divmod(high, 10**8)
+    groups = np.stack([lead, *np.divmod(high, 10**4), *np.divmod(low, 10**4)], axis=1)
+    digits = _DIGITS[groups].view(np.uint8)[:, 3:]
+    last = 16 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)  # last nonzero digit
+    source = np.empty((len(x), _NUL + 1), np.uint8)
+    source[:, :17] = digits * (np.arange(17) <= np.maximum(last, e)[:, None])
+    source[:, _DOT] = np.where(last > np.where(e < -4, 0, e), ord("."), 0)
+    source[:, _ZERO:_SIGN] = np.frombuffer(b"0e-56", np.uint8)
+    source[:, _SIGN] = np.where(x < 0, ord("-"), 0)
+    source[:, _NUL] = 0
+    # Distinct values come sorted, so each exponent is one run of rows.
+    cells = np.empty((len(x), _WIDTH), np.uint8)
+    bounds = [0, *(np.flatnonzero(np.diff(e)) + 1).tolist(), len(x)]
+    for a, b in zip(bounds, bounds[1:]):
+        cells[a:b] = source[a:b, _LAYOUT[e[a] + 6]]
+    return cells
+
+
+def _cells(x: np.ndarray) -> np.ndarray:
+    """format_float of each float64 in ``x``, as rows of _WIDTH NUL-padded ASCII bytes."""
+    ax = np.abs(x)
+    fast = (ax > 1e-6) & (ax < 1e16)
+    fast[fast] = x[fast] != np.trunc(x[fast])
+    cells = np.empty((len(x), _WIDTH), np.uint8)
+    if fast.any():
+        cells[fast] = _fast_cells(x[fast])
+    slow = [format_float(v) for v in x[~fast].tolist()]
+    cells[~fast] = np.array(slow, dtype=f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
+    return cells
+
+
+def csv_lines(header: list[str], rows) -> Iterator[bytes]:
     """Newline-terminated CSV text; ``rows`` are equal-length rows or a 2-D array.
 
-    Yields the header line, then one string per block of BLOCK_ROWS lines
-    for a float array, or one string per line otherwise.
+    Yields the header line, then one chunk per block of BLOCK_ROWS lines
+    for a float array, or one chunk per line otherwise.
     """
-    yield ",".join(header) + "\n"
+    yield (",".join(header) + "\n").encode()
     if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
         for start in range(0, len(rows), BLOCK_ROWS):
-            cells = [_float_cells(column) for column in rows[start : start + BLOCK_ROWS].T]
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+            block = rows[start : start + BLOCK_ROWS]
+            text = np.empty((len(block), block.shape[1], _WIDTH + 1), np.uint8)
+            for j in range(block.shape[1]):
+                bits = block[:, j].astype(np.float64).view(np.int64)
+                bits, inverse = np.unique(bits, return_inverse=True)
+                text[:, j, :_WIDTH] = _cells(bits.view(np.float64))[inverse]
+            text[:, :, _WIDTH] = ord(",")
+            text[:, -1, _WIDTH] = ord("\n")
+            yield text[text != 0].tobytes()
         return
     columns = rows.T.tolist() if isinstance(rows, np.ndarray) else zip(*rows, strict=True)
     cells = [map(_cell, column) for column in columns]
     for line in zip(*cells):
-        yield ",".join(line) + "\n"
+        yield (",".join(line) + "\n").encode()
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(csv_lines(header, rows))

@@ -36,6 +36,7 @@ from .errors import ScenarioError
 from .grafting import LengthInterval, LengthState, Role, WeightedMulticurve
 
 __all__ = [
+    "DEFAULT_LATTICE",
     "MAX_STEPS",
     "MapSpec",
     "Scenario",
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 MAX_STEPS = 100_000
+DEFAULT_LATTICE = 129  # lattice size per side when neither a spec nor --lattice names one
 MODES = ("iterate", "ray", "counterexample", "accumulation", "cauchy")
 # Required and optional parameters of each map kind.
 MAP_PARAMS = {
@@ -270,10 +272,12 @@ def load_scenario(path) -> Scenario:
     )
 
 
-def load_map_spec(path, default_lattice: int) -> MapSpec:
+def load_map_spec(path, lattice: int | None = None) -> MapSpec:
     """Parse and check a map spec ``{kind, params, lattices}``.
 
-    ``lattices`` defaults to ``[default_lattice]``.
+    ``lattice`` is the ``--lattice`` flag, if one was given.  ``lattices``
+    defaults to ``[lattice]``, or to ``[DEFAULT_LATTICE]`` without the flag;
+    a spec that lists ``lattices`` while the flag is given is an error.
     """
     raw = _object(_read_json(path, "map spec"), "", ("kind",), ("params", "lattices"))
     kind = _string(raw["kind"], "kind", tuple(MAP_PARAMS))
@@ -282,7 +286,12 @@ def load_map_spec(path, default_lattice: int) -> MapSpec:
     for name, value in params.items():
         # The shear amplitude may take either sign; BoundaryDistortion checks it.
         _number(value, _key("params", name), positive=name != "amplitude")
-    lattices = _list(raw.get("lattices", [default_lattice]), "lattices")
+    if "lattices" in raw and lattice is not None:
+        raise ScenarioError(
+            f"the map spec lists lattices and --lattice {lattice} was given; give only one of them"
+        )
+    default = DEFAULT_LATTICE if lattice is None else lattice
+    lattices = _list(raw.get("lattices", [default]), "lattices")
     for i, n in enumerate(lattices):
         check_lattice(n, f"lattices[{i}]")
     return MapSpec(kind=kind, params=params, lattices=lattices)

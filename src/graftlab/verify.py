@@ -62,6 +62,11 @@ TOLERANCES = {
 PRECONDITION_ERRORS = (ShortnessError, GeometryError)
 
 
+def _unmet(exc: Exception, *names: str) -> list[CheckResult]:
+    """The checks ``names``, failed because the precondition that ``exc`` names does not hold."""
+    return [CheckResult(name, False, details={"precondition_failed": str(exc)}) for name in names]
+
+
 def _resolve_tolerances(overrides: dict[str, float]) -> dict[str, float]:
     """TOLERANCES with ``overrides`` applied; a bad name or value is a ScenarioError."""
     for name, value in overrides.items():
@@ -313,7 +318,7 @@ def suite_qcmaps(lattice: int, rng, tolerances, constants: Constants) -> list[Ch
     try:
         chain = [dilatation.untwist_chain(l, 2.0 * math.pi, constants.T_radius) for l in L_GRID[1:]]
     except PRECONDITION_ERRORS as exc:
-        out.append(CheckResult(name, False, details={"precondition_failed": str(exc)}))
+        out += _unmet(exc, name)
     else:
         effective = [c.effective_c for c in chain]
         out.append(
@@ -334,7 +339,7 @@ def suite_qcmaps(lattice: int, rng, tolerances, constants: Constants) -> list[Ch
             for t in T_GRID
         ]
     except PRECONDITION_ERRORS as exc:
-        out.append(CheckResult(name, False, details={"precondition_failed": str(exc)}))
+        out += _unmet(exc, name)
     else:
         decrease = min(a - b for row in effective for a, b in zip(row, row[1:]))
         out.append(
@@ -356,25 +361,35 @@ def suite_grafting(lattice: int, rng, tolerances, constants: Constants) -> list[
     out = []
     tol = tolerances["factor_identity"]
 
+    sandwich = "sandwich_lo_leq_hi_and_hi_strictly_decreases"
+    chain = "lower_bound_below_scaled_lower_endpoint"
     sandwich_ok = True
     chain_ok = True
-    factor_err = 0.0
-    for l in L_GRID:
-        for t in T_GRID:
-            interval = grafting.LengthInterval(0.8 * l, l)
-            state = grafting.LengthState(
-                roles={"g": grafting.Role.SUPPORT}, lengths={"g": interval}
-            )
-            new = grafting.graft_length_bounds(
-                state, grafting.WeightedMulticurve({"g": t})
-            ).lengths["g"]
-            upper = grafting.graft_factors(interval.hi, t).upper
-            sandwich_ok &= new.lo <= new.hi and new.hi < interval.hi
-            mid = upper * interval.lo
-            chain_ok &= new.lo <= mid <= new.hi
-            factor_err = max(factor_err, abs(upper - math.pi / (math.pi + t)))
-    out.append(CheckResult("sandwich_lo_leq_hi_and_hi_strictly_decreases", sandwich_ok))
-    out.append(CheckResult("lower_bound_below_scaled_lower_endpoint", chain_ok))
+    try:
+        for l in L_GRID:
+            for t in T_GRID:
+                interval = grafting.LengthInterval(0.8 * l, l)
+                state = grafting.LengthState(
+                    roles={"g": grafting.Role.SUPPORT},
+                    lengths={"g": interval},
+                    epsilon=constants.epsilon,
+                )
+                new = grafting.graft_length_bounds(
+                    state, grafting.WeightedMulticurve({"g": t})
+                ).lengths["g"]
+                sandwich_ok &= new.lo <= new.hi and new.hi < interval.hi
+                mid = grafting.graft_factors(interval.hi, t).upper * interval.lo
+                chain_ok &= new.lo <= mid <= new.hi
+    except PRECONDITION_ERRORS as exc:
+        out += _unmet(exc, sandwich, chain)
+    else:
+        out.append(CheckResult(sandwich, sandwich_ok))
+        out.append(CheckResult(chain, chain_ok))
+    factor_err = max(
+        abs(grafting.graft_factors(l, t).upper - math.pi / (math.pi + t))
+        for l in L_GRID
+        for t in T_GRID
+    )
     out.append(
         CheckResult("upper_factor_is_pi_over_pi_plus_t", factor_err <= tol, margin=tol - factor_err, tolerance=tol)
     )
@@ -444,37 +459,48 @@ def suite_dynamics(lattice: int, rng, tolerances, constants: Constants) -> list[
     state = grafting.LengthState(
         roles={"g": grafting.Role.SUPPORT},
         lengths={"g": grafting.LengthInterval.point(0.1)},
+        epsilon=constants.epsilon,
     )
     lam = grafting.WeightedMulticurve({"g": t})
-    traj = dynamics.iterate_grafting(state, lam, 20)
-    his = traj.hi_series("g")
-    factor = dynamics.decay_factor(t)
+    try:
+        traj = dynamics.iterate_grafting(state, lam, 20)
+    except PRECONDITION_ERRORS as exc:
+        traj, unmet = None, exc
 
     tol = tolerances["trajectory_upper_exact"]
-    worst = max(
-        abs(h - 0.1 * factor**n) / (0.1 * factor**n) for n, h in enumerate(his)
-    )
-    out.append(
-        CheckResult("trajectory_upper_chain_exact", worst <= tol, margin=tol - worst, tolerance=tol)
-    )
-
-    los = traj.lo_series("g")
-    prod = 0.1
-    worst = 0.0
-    ok = True
-    for n in range(1, len(los)):
-        f = grafting.graft_factors(his[n - 1], t)
-        prod *= f.lower
-        ok &= los[n] > 0.0
-        worst = max(worst, abs(los[n] - prod) / prod)
-    out.append(
-        CheckResult(
-            "trajectory_lower_chain_positive_and_product",
-            ok and worst <= tol,
-            margin=tol - worst,
-            tolerance=tol,
+    if traj is None:
+        out += _unmet(
+            unmet, "trajectory_upper_chain_exact", "trajectory_lower_chain_positive_and_product"
         )
-    )
+    else:
+        his = traj.hi_series("g")
+        factor = dynamics.decay_factor(t)
+        worst = max(
+            abs(h - 0.1 * factor**n) / (0.1 * factor**n) for n, h in enumerate(his)
+        )
+        out.append(
+            CheckResult(
+                "trajectory_upper_chain_exact", worst <= tol, margin=tol - worst, tolerance=tol
+            )
+        )
+
+        los = traj.lo_series("g")
+        prod = 0.1
+        worst = 0.0
+        ok = True
+        for n in range(1, len(los)):
+            f = grafting.graft_factors(his[n - 1], t)
+            prod *= f.lower
+            ok &= los[n] > 0.0
+            worst = max(worst, abs(los[n] - prod) / prod)
+        out.append(
+            CheckResult(
+                "trajectory_lower_chain_positive_and_product",
+                ok and worst <= tol,
+                margin=tol - worst,
+                tolerance=tol,
+            )
+        )
 
     tol = tolerances["lift_radius_tail"]
     partials = [dynamics.iterated_lift_radius(0.1, t, constants.C, n) for n in range(30)]
@@ -496,42 +522,55 @@ def suite_dynamics(lattice: int, rng, tolerances, constants: Constants) -> list[
         )
     )
 
-    report = dynamics.counterexample_ratio(0.05, 14)
-    ratios = report.ratios
-    ok = report.decreasing_from <= 2 and min(ratios) < 0.05
-    control_state = grafting.LengthState(
-        roles={"g1": grafting.Role.SUPPORT, "g2": grafting.Role.SUPPORT},
-        lengths={
-            "g1": grafting.LengthInterval.point(0.05),
-            "g2": grafting.LengthInterval.point(0.05),
-        },
-    )
-    control_lam = grafting.WeightedMulticurve({"g1": t, "g2": t})
-    control = dynamics.iterate_grafting(control_state, control_lam, 14)
-    ok &= all(
-        st.lengths["g2"].hi == st.lengths["g1"].hi for st in control.steps
-    )
-    out.append(
-        CheckResult(
-            "counterexample_diverges_control_stays",
-            ok,
-            details={"final_ratio": ratios[-1], "decreasing_from": report.decreasing_from},
+    name = "counterexample_diverges_control_stays"
+    try:
+        report = dynamics.counterexample_ratio(0.05, 14, epsilon=constants.epsilon)
+        control_state = grafting.LengthState(
+            roles={"g1": grafting.Role.SUPPORT, "g2": grafting.Role.SUPPORT},
+            lengths={
+                "g1": grafting.LengthInterval.point(0.05),
+                "g2": grafting.LengthInterval.point(0.05),
+            },
+            epsilon=constants.epsilon,
         )
-    )
+        control_lam = grafting.WeightedMulticurve({"g1": t, "g2": t})
+        control = dynamics.iterate_grafting(control_state, control_lam, 14)
+    except PRECONDITION_ERRORS as exc:
+        out += _unmet(exc, name)
+    else:
+        ratios = report.ratios
+        ok = report.decreasing_from <= 2 and min(ratios) < 0.05
+        ok &= all(
+            st.lengths["g2"].hi == st.lengths["g1"].hi for st in control.steps
+        )
+        out.append(
+            CheckResult(
+                name,
+                ok,
+                details={"final_ratio": ratios[-1], "decreasing_from": report.decreasing_from},
+            )
+        )
 
-    tol = tolerances["cauchy_ratio"]
-    cauchy = dynamics.endpoint_cauchy_analysis(traj, constants.C)
-    worst = max(abs(r - cauchy.expected_ratio) for r in cauchy.consecutive_ratios)
-    out.append(
-        CheckResult("cauchy_consecutive_ratio_exact", worst <= tol, margin=tol - worst, tolerance=tol)
-    )
-    tol = tolerances["cauchy_tail"]
-    worst = max(
-        abs(a - b) / b for a, b in zip(cauchy.tail_sums, cauchy.tail_closed_forms)
-    )
-    out.append(
-        CheckResult("cauchy_tails_match_closed_form", worst <= tol, margin=tol - worst, tolerance=tol)
-    )
+    if traj is None:
+        out += _unmet(unmet, "cauchy_consecutive_ratio_exact", "cauchy_tails_match_closed_form")
+    else:
+        tol = tolerances["cauchy_ratio"]
+        cauchy = dynamics.endpoint_cauchy_analysis(traj, constants.C)
+        worst = max(abs(r - cauchy.expected_ratio) for r in cauchy.consecutive_ratios)
+        out.append(
+            CheckResult(
+                "cauchy_consecutive_ratio_exact", worst <= tol, margin=tol - worst, tolerance=tol
+            )
+        )
+        tol = tolerances["cauchy_tail"]
+        worst = max(
+            abs(a - b) / b for a, b in zip(cauchy.tail_sums, cauchy.tail_closed_forms)
+        )
+        out.append(
+            CheckResult(
+                "cauchy_tails_match_closed_form", worst <= tol, margin=tol - worst, tolerance=tol
+            )
+        )
 
     tol = tolerances["threshold_linear"]
     base = dynamics.geometric_convergence_threshold(0.07, 0.2)
@@ -543,22 +582,32 @@ def suite_dynamics(lattice: int, rng, tolerances, constants: Constants) -> list[
         CheckResult("convergence_threshold_linear_in_l", worst <= tol, margin=tol - worst, tolerance=tol)
     )
 
+    name = "tube_radius_is_sum_of_terms"
     multi = grafting.LengthState(
         roles={"g1": grafting.Role.SUPPORT, "g2": grafting.Role.SUPPORT},
         lengths={
             "g1": grafting.LengthInterval.point(0.1),
             "g2": grafting.LengthInterval.point(0.08),
         },
+        epsilon=constants.epsilon,
     )
-    tube = dynamics.holonomy_tube_radius(
-        multi, grafting.WeightedMulticurve({"g1": 2.0 * math.pi, "g2": 4.0 * math.pi}), constants.C
-    )
-    ok = abs(tube.radius - sum(v for _, v in tube.terms)) <= 1e-15
-    single = dynamics.holonomy_tube_radius(
-        multi, grafting.WeightedMulticurve({"g1": 2.0 * math.pi, "g2": 2.0 * math.pi}), constants.C
-    )
-    ok &= single.terms[1][1] == 0.0
-    out.append(CheckResult("tube_radius_is_sum_of_terms", ok))
+    try:
+        tube = dynamics.holonomy_tube_radius(
+            multi,
+            grafting.WeightedMulticurve({"g1": 2.0 * math.pi, "g2": 4.0 * math.pi}),
+            constants.C,
+        )
+        single = dynamics.holonomy_tube_radius(
+            multi,
+            grafting.WeightedMulticurve({"g1": 2.0 * math.pi, "g2": 2.0 * math.pi}),
+            constants.C,
+        )
+    except PRECONDITION_ERRORS as exc:
+        out += _unmet(exc, name)
+    else:
+        ok = abs(tube.radius - sum(v for _, v in tube.terms)) <= 1e-15
+        ok &= single.terms[1][1] == 0.0
+        out.append(CheckResult(name, ok))
     return out
 
 

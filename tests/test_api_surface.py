@@ -2,8 +2,9 @@
 
 The CLI runs in-process under ``sys.setprofile`` over a set of runs that
 covers its surface: ``verify all``, every shipped scenario, a ray-mode
-scenario with a disjoint curve, ``qc-check`` for each map kind and one
-malformed scenario.  Every ``def`` that an ``ast`` walk finds in the
+scenario with a disjoint curve, ``qc-check`` for each map kind, one
+malformed scenario and ``verify all`` again under constants whose epsilon
+fails the stated preconditions of some checks.  Every ``def`` that an ``ast`` walk finds in the
 package must be entered at least once.  A function that no command
 reaches is either dead or serves only the tests: give it a CLI caller
 (a ``verify`` check, say) or delete it.
@@ -87,13 +88,18 @@ def test_every_function_is_reached_from_the_cli(tmp_path, monkeypatch):
         if event == "call":
             entered.add(frame.f_code)
 
+    unmet = tmp_path / "constants.json"
+    unmet.write_text(json.dumps({"epsilon": 0.05}))  # below the verify grids' l = 0.1
+
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         codes = [main(argv) for argv in runs]
+        monkeypatch.setenv("GRAFTLAB_CONSTANTS", str(unmet))
+        codes.append(main(["verify", "all", "--lattice", "33", "--out", str(tmp_path / "unmet")]))
     finally:
         sys.setprofile(previous)
-    assert codes == [0] * (len(runs) - 1) + [2]
+    assert codes == [0] * (len(runs) - 1) + [2, 1]
 
     reached = {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in entered}
     missed = sorted(name for key, name in defined_functions().items() if key not in reached)

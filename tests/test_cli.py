@@ -111,7 +111,7 @@ class TestInputContract:
     )
     @given(path=st.sampled_from(MAP_SPEC_PATHS), value=JSON_VALUES)
     def test_map_spec(self, tmp_path, path, value):
-        spec = self.load(tmp_path, lambda p: load_map_spec(p, 129), replaced(MAP_SPEC, path, value))
+        spec = self.load(tmp_path, load_map_spec, replaced(MAP_SPEC, path, value))
         if spec is None:
             return
         assert all(type(n) is int and MIN_LATTICE <= n <= MAX_LATTICE for n in spec.lattices)
@@ -237,6 +237,18 @@ class TestVerifyCommand:
         assert (default_radius, radius) == (1.0, 3.0)
         assert details["max"] > default["max"]
 
+    # The grafting and dynamics checks whose lengths start at l = 0.1, so that an
+    # epsilon below 0.1 fails them, and only them, besides the comparison budget.
+    SHORT_AT_ONE_TENTH = [
+        "grafting.sandwich_lo_leq_hi_and_hi_strictly_decreases",
+        "grafting.lower_bound_below_scaled_lower_endpoint",
+        "dynamics.trajectory_upper_chain_exact",
+        "dynamics.trajectory_lower_chain_positive_and_product",
+        "dynamics.cauchy_consecutive_ratio_exact",
+        "dynamics.cauchy_tails_match_closed_form",
+        "dynamics.tube_radius_is_sum_of_terms",
+    ]
+
     @pytest.mark.parametrize(
         "constants, name, reason",
         [
@@ -258,8 +270,13 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "out" / "verify_all.json").read_text())
         assert report["passed"] is False
         failed = [c for c in report["checks"] if not c["passed"]]
-        assert [c["name"] for c in failed] == [name]
+        shortness = self.SHORT_AT_ONE_TENTH if "epsilon" in constants else []
+        assert [c["name"] for c in failed] == [name, *shortness]
         assert reason in failed[0]["details"]["precondition_failed"]
+        for check in failed[1:]:
+            assert "> epsilon 0.05: shortness hypothesis violated" in (
+                check["details"]["precondition_failed"]
+            )
 
     def test_tolerance_override_can_fail_suite(self, tmp_path):
         code = main(
@@ -462,6 +479,23 @@ class TestQcCheckCommand:
         path.write_text(json.dumps(spec))
         assert main(["qc-check", "--scenario", str(path), "--out", str(tmp_path)]) == 2
         assert field in capsys.readouterr().err
+
+    def test_lattice_flag_and_spec_lattices_exit_2(self, tmp_path, capsys):
+        scenario = str(SCENARIOS / "qc_twist_refinement.json")
+        argv = ["qc-check", "--scenario", scenario, "--lattice", "257", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "lists lattices" in err and "--lattice 257" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_lattice_defaults_without_flag_or_spec_lattices(self, tmp_path):
+        spec = tmp_path / "twist.json"
+        spec.write_text(json.dumps({"kind": "twist", "params": {"a": 1.0, "k": 2.0}}))
+        out = tmp_path / "out"
+        assert main(["qc-check", "--scenario", str(spec), "--out", str(out)]) == 0
+        report = json.loads((out / "qc_report.json").read_text())
+        assert report["lattices"] == [129]
 
     @pytest.mark.parametrize("k", [1e9, 1e200, 1e-200])
     def test_extreme_twist_finishes_or_exits_2(self, tmp_path, capsys, k):

@@ -126,7 +126,7 @@ class TestFloatTables:
             write_csv(tmp_path / "t.csv", header, table)
         assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, table).encode()
 
-    @pytest.mark.parametrize("n_rows", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n_rows", [4 * BLOCK_ROWS - 1, 4 * BLOCK_ROWS, 4 * BLOCK_ROWS + 1])
     def test_tables_around_the_block_size(self, tmp_path, n_rows):
         rng = np.random.default_rng(n_rows)
         values = np.array(SPECIAL_FLOATS + rng.normal(size=50).tolist())
@@ -138,3 +138,78 @@ class TestFloatTables:
         # 0.0 == -0.0, so deduplicating on the float value would merge them.
         write_csv(tmp_path / "t.csv", ["z"], np.array([[0.0], [-0.0], [0.0], [-0.0]]))
         assert (tmp_path / "t.csv").read_text() == "z\n0.0\n-0.0\n0.0\n-0.0\n"
+
+
+def assert_column_matches_reference(tmp_path, values):
+    """write_csv of ``values`` as one column writes format_float of each value."""
+    table = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    write_csv(tmp_path / "t.csv", ["v"], table)
+    written = (tmp_path / "t.csv").read_text().splitlines()[1:]
+    expected = list(map(format_float, table[:, 0].tolist()))
+    if written != expected:
+        wrong = [(v, w, e) for v, w, e in zip(table[:, 0].tolist(), written, expected) if w != e]
+        pytest.fail(f"{len(written)} cells for {len(expected)} values; "
+                    f"(value, written, expected): {wrong[:5]}")
+
+
+def near_powers_of_ten() -> list[float]:
+    """Each power of ten from 1e-7 to 1e16 with its two neighbouring doubles."""
+    return [
+        math.nextafter(float(f"1e{e}"), direction) if direction else float(f"1e{e}")
+        for e in range(-7, 17)
+        for direction in (-math.inf, 0, math.inf)
+    ]
+
+
+SIGN_BIT = 1 << 63
+# Bit patterns of the positive doubles from 2**-20 to 2**53: the fast path's domain and its edges.
+BAND = (int(np.float64(2.0**-20).view(np.uint64)), int(np.float64(2.0**53).view(np.uint64)))
+FAST_BAND = st.integers(*BAND)
+
+
+class TestVectorizedFormat:
+    """The numpy %.17g that writes float tables matches format_float on values
+    chosen to break it: raw bit patterns, the edges of its domain, the exponent
+    steps at each power of ten and exact decimal ties."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        bits=st.lists(
+            st.one_of(
+                st.integers(0, 2**64 - 1),
+                FAST_BAND,
+                FAST_BAND.map(lambda b: b | SIGN_BIT),
+                st.sampled_from(near_powers_of_ten()).map(
+                    lambda x: int(np.float64(x).view(np.uint64))
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_raw_bit_patterns(self, tmp_path, bits):
+        assert_column_matches_reference(tmp_path, np.array(bits, dtype=np.uint64).view(np.float64))
+
+    def test_powers_of_ten_and_domain_edges(self, tmp_path):
+        edges = near_powers_of_ten() + [
+            1e-6,  # the double nearest 1e-6 lies below it: 9.9999999999999995e-07
+            1e16, math.nextafter(1e16, 0.0), 2.0**52 - 0.5, 2.0**52, 2.0**52 + 1.0,
+            5e-324, 2.2250738585072014e-308, math.nextafter(2.2250738585072014e-308, 0.0),
+            0.0, 1.0, 0.5, 1.5, 0.1, 0.3, 2.0 / 3.0, math.pi, 1e-5, 1.5e-5, 1e-4, 1.5e-4,
+        ]
+        assert_column_matches_reference(tmp_path, edges + [-x for x in edges])
+
+    def test_exact_decimal_ties(self, tmp_path):
+        # m * 2**-17 has exactly 18 significant digits, the last a 5 when m is
+        # odd, so every odd m is a tie that %.17g rounds to even.
+        ties = np.arange(131072, 1310720) * 2.0**-17
+        assert_column_matches_reference(tmp_path, np.concatenate([ties, -ties]))
+
+    def test_random_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(20240611)
+        raw = rng.integers(0, 2**64, size=100_000, dtype=np.uint64)
+        # The same number again inside the fast path's band, with either sign.
+        band = rng.integers(*BAND, size=100_000, dtype=np.uint64, endpoint=True)
+        band |= rng.integers(0, 2, size=band.size, dtype=np.uint64) << np.uint64(63)
+        assert_column_matches_reference(tmp_path, np.concatenate([raw, band]).view(np.float64))
