@@ -83,20 +83,22 @@ def _cmd_verify(args) -> int:
     return 0 if not failed else 1
 
 
-def _trajectory_rows(traj) -> list[list]:
-    """Rows (step, curve, lo, hi, realized upper factor for that step)."""
-    rows = []
-    for step, state in enumerate(traj.steps):
-        for cid in sorted(state.lengths):
-            interval = state.lengths[cid]
-            if step == 0:
-                factor = 1.0
-            elif traj.mode is dynamics.TrajectoryMode.RAY:
-                factor = interval.hi / traj.steps[0].lengths[cid].hi
-            else:
-                factor = interval.hi / traj.steps[step - 1].lengths[cid].hi
-            rows.append([step, cid, interval.lo, interval.hi, factor])
-    return rows
+def _steps(n: int) -> np.ndarray:
+    """The CSV cells of the step numbers 0 .. n - 1."""
+    return np.array([b"%d" % k for k in range(n)])
+
+
+def _trajectory_columns(traj) -> list[np.ndarray]:
+    """Columns step, curve, lo, hi and the realized upper factor, one row per
+    step and curve, curves sorted within a step."""
+    ids = sorted(traj.steps[0].lengths)
+    lo = np.array([traj.lo_series(cid) for cid in ids]).T
+    hi = np.array([traj.hi_series(cid) for cid in ids]).T
+    factor = np.ones_like(hi)
+    factor[1:] = hi[1:] / (hi[:1] if traj.mode is dynamics.TrajectoryMode.RAY else hi[:-1])
+    step = np.repeat(_steps(len(traj.steps)), len(ids))
+    curve = np.tile(np.array([cid.encode() for cid in ids]), len(traj.steps))
+    return [step, curve, lo.ravel(), hi.ravel(), factor.ravel()]
 
 
 def _cmd_simulate(args) -> int:
@@ -141,11 +143,7 @@ def _cmd_simulate(args) -> int:
             "light_curve": light,
             "weights": dict(scenario.lamination.weights),
         }
-        write_csv(
-            out_dir / "ratios.csv",
-            ["step", "ratio"],
-            [[k, r] for k, r in enumerate(ratios)],
-        )
+        write_csv(out_dir / "ratios.csv", ["step", "ratio"], _steps(len(ratios)), np.array(ratios))
     elif scenario.mode == "accumulation":
         cid, weight = scenario.lamination.items()[0]
         l0 = scenario.state.lengths[cid].hi
@@ -180,7 +178,7 @@ def _cmd_simulate(args) -> int:
     write_csv(
         out_dir / "trajectory.csv",
         ["step", "curve", "lo", "hi", "decay_factor"],
-        _trajectory_rows(traj),
+        *_trajectory_columns(traj),
     )
     report["final_lengths"] = {
         cid: [iv.lo, iv.hi] for cid, iv in sorted(traj.steps[-1].lengths.items())
@@ -231,7 +229,8 @@ def _cmd_qc_check(args) -> int:
         else:
             entry["bound_margin"] = built.analytic_k - est.sup_k
         series.append(entry)
-        write_csv(out_dir / f"mu_{n}.csv", ["t", "x", "abs_mu"], built.grid.table(est.abs_mu))
+        write_csv(out_dir / f"mu_{n}.csv", ["t", "x", "abs_mu"], *built.grid.table(est.abs_mu))
+        del built, est  # so the next, larger lattice is not sampled beside this one's arrays
 
     report = {
         "tool": "graftlab",

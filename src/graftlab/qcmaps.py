@@ -71,11 +71,11 @@ class GridMap:
     def dx(self) -> float:
         return 1.0 / self.n_x
 
-    def table(self, *fields: np.ndarray) -> np.ndarray:
-        """Rows (i * dt, j * dx, *fields[i, j]) over the lattice in row-major order."""
+    def table(self, *fields: np.ndarray) -> list[np.ndarray]:
+        """Columns i * dt, j * dx and each fields[i, j] over the lattice in row-major order."""
         t = np.repeat(np.arange(self.n_t) * self.dt, self.n_x)
         x = np.tile(np.arange(self.n_x) * self.dx, self.n_t)
-        return np.column_stack([t, x, *(f.ravel() for f in fields)])
+        return [t, x, *(f.ravel() for f in fields)]
 
     @classmethod
     def from_function(

@@ -6,15 +6,14 @@ written as format_float writes it (17 significant digits, round-trip exact
 for binary64), and nothing time-dependent enters the files (wall-clock
 timings go to the console only).
 
-csv_lines is the only CSV writer.  It takes a sequence of equal-length rows
-or a 2-D numpy array.  Row lists and integer or boolean arrays go through
-_cell one cell at a time and are yielded line by line.  A float array is
-written in blocks of BLOCK_ROWS rows.  Within a block each column is
-deduplicated on the float64 bit pattern (so -0.0 and 0.0 stay distinct),
-each distinct value becomes one NUL-padded row of bytes, the rows of the
-block gather their cells, and the block's text is that byte array with
-"," and "\n" between the cells and the NULs dropped.  Both paths write the
-same bytes for the same values.
+csv_lines is the only CSV writer.  A table is one equal-length 1-D column
+per header field: float64 values, or cells already written as "S" bytes
+(step numbers, curve ids), copied as they are, so they must not hold ",",
+a newline or NUL.  Each block of BLOCK_ROWS rows is one byte array in
+which every column fills its NUL-padded slice of each row and a "," or
+"\n" follows it; the NULs are then dropped.  Within a block a float column
+is deduplicated on the float64 bit pattern (so -0.0 and 0.0 stay
+distinct) and each distinct value is formatted once.
 
 The distinct values are formatted in numpy by an exact %.17g on the fast
 path: finite, non-integral values with 1e-6 < |x| < 1e16.  Every other
@@ -135,16 +134,6 @@ def write_json(path, obj) -> None:
     Path(path).write_text(dumps(obj), encoding="utf-8")
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return format_float(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 _SPLIT = 134217729.0  # 2**27 + 1
 
 
@@ -242,31 +231,36 @@ def _cells(x: np.ndarray) -> np.ndarray:
     return cells
 
 
-def csv_lines(header: list[str], rows) -> Iterator[bytes]:
-    """Newline-terminated CSV text; ``rows`` are equal-length rows or a 2-D array.
-
-    Yields the header line, then one chunk per block of BLOCK_ROWS lines
-    for a float array, or one chunk per line otherwise.
-    """
+def csv_lines(header: list[str], *columns: np.ndarray) -> Iterator[bytes]:
+    """Newline-terminated CSV text of ``columns``: the header line, then one chunk per block."""
+    if not columns or len(header) != len(columns):
+        raise ValueError(f"a table needs one column per header field, got {len(columns)}")
+    n_rows = len(columns[0])
+    for j, column in enumerate(columns):
+        if column.ndim != 1 or (column.dtype != np.float64 and column.dtype.kind != "S"):
+            raise ValueError(f"column {j} must be a 1-D float64 or bytes array, got {column.dtype}")
+        if len(column) != n_rows:
+            raise ValueError(f"column {j} has {len(column)} rows, column 0 has {n_rows}")
     yield (",".join(header) + "\n").encode()
-    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-        for start in range(0, len(rows), BLOCK_ROWS):
-            block = rows[start : start + BLOCK_ROWS]
-            text = np.empty((len(block), block.shape[1], _WIDTH + 1), np.uint8)
-            for j in range(block.shape[1]):
-                bits = block[:, j].astype(np.float64).view(np.int64)
-                bits, inverse = np.unique(bits, return_inverse=True)
-                text[:, j, :_WIDTH] = _cells(bits.view(np.float64))[inverse]
-            text[:, :, _WIDTH] = ord(",")
-            text[:, -1, _WIDTH] = ord("\n")
-            yield text[text != 0].tobytes()
-        return
-    columns = rows.T.tolist() if isinstance(rows, np.ndarray) else zip(*rows, strict=True)
-    cells = [map(_cell, column) for column in columns]
-    for line in zip(*cells):
-        yield (",".join(line) + "\n").encode()
+    widths = [_WIDTH if column.dtype == np.float64 else column.itemsize for column in columns]
+    for start in range(0, n_rows, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n_rows)
+        text = np.empty((stop - start, sum(widths) + len(widths)), np.uint8)
+        at = 0  # the first byte of the cell in each row
+        for column, width in zip(columns, widths):
+            block = column[start:stop]
+            if block.dtype == np.float64:
+                bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+                cells = _cells(bits.view(np.float64))[inverse]
+            else:
+                cells = block.view(np.uint8).reshape(-1, width)
+            text[:, at : at + width] = cells
+            text[:, at + width] = ord(",")
+            at += width + 1
+        text[:, -1] = ord("\n")
+        yield text[text != 0].tobytes()
 
 
-def write_csv(path, header: list[str], rows) -> None:
+def write_csv(path, header: list[str], *columns: np.ndarray) -> None:
     with open(path, "wb") as fh:
-        fh.writelines(csv_lines(header, rows))
+        fh.writelines(csv_lines(header, *columns))

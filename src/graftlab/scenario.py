@@ -16,8 +16,9 @@ parameters ``a``, ``k`` and ``b`` must be > 0, and lengths at least the
 smallest normal float64, below which they have lost relative precision.
 ``steps`` and the number of ``s_values`` are at most MAX_STEPS, each
 ``s_values`` entry times every lamination weight is a positive finite
-float64, lattices lie in [MIN_LATTICE, MAX_LATTICE], and unknown keys are
-errors.
+float64, lattices lie in [MIN_LATTICE, MAX_LATTICE], curve ids hold no
+",", '"' or control character (below U+0020, or U+007F), since they are
+written into CSV cells as they are, and unknown keys are errors.
 """
 
 from __future__ import annotations
@@ -199,6 +200,8 @@ def load_scenario(path) -> Scenario:
         where = f"curves[{i}]"
         entry = _object(entry, where, ("id", "role"))
         cid = _string(entry["id"], f"{where}.id")
+        if any(c in ',"\x7f' or c < " " for c in cid):
+            raise _fail(f"{where}.id", 'an id without ",", \'"\' or control characters', cid)
         if cid in roles:
             raise ScenarioError(f"duplicate curve id {cid!r}")
         roles[cid] = Role(_string(entry["role"], f"{where}.role", tuple(r.value for r in Role)))

@@ -105,6 +105,8 @@ class TestInputContract:
         assert type(scenario.steps) is int and 0 <= scenario.steps <= MAX_STEPS
         assert all(is_number(c) and c > 0 for c in scenario.constants.as_dict().values())
         assert scenario.state.epsilon == scenario.constants.epsilon
+        for cid in scenario.state.roles:
+            assert not any(c in ',"\x7f' or c < " " for c in cid)
 
     @settings(
         max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -139,6 +141,19 @@ class TestInputContract:
                 "s_values[1]",
             ),
             ("simulate", {"constants": {"K3": 1.0}}, "constants.K3"),
+            # Curve ids are written into CSV cells as they are.
+            *[
+                (
+                    "simulate",
+                    {
+                        "curves": [{"id": cid, "role": "support"}],
+                        "lengths": {cid: [0.1, 0.1]},
+                        "lamination": {cid: 2 * math.pi},
+                    },
+                    "curves[0].id",
+                )
+                for cid in ["g,h", 'g"', "g\nh", "g\r", "\tg", "g\x00", "g\x1f", "g\x7f"]
+            ],
         ],
     )
     def test_cli_names_the_field_in_one_line(self, tmp_path, capsys, command, change, field):
@@ -624,6 +639,39 @@ class TestGoldenOutputs:
         },
     }
 
+    # trajectory.csv digests taken before the table moved to columns: ray
+    # mode, whose decay_factor is relative to step 0 and not to the step
+    # before, and curve ids outside ASCII, which are written as UTF-8.
+    TRAJECTORIES = {
+        "ray": (
+            {
+                "curves": [{"id": "g", "role": "support"}, {"id": "d", "role": "disjoint"}],
+                "lengths": {"g": [0.08, 0.1], "d": [0.05, 0.05]},
+                "lamination": {"g": 2 * math.pi},
+                "mode": "ray",
+                "s_values": [0.5, 1.0, 2.0],
+            },
+            "37ae5c7fd13746e00603dc03c308aa0549de9489a044b9e9260d45d86e307ba7",
+        ),
+        "non_ascii_ids": (
+            {
+                "curves": [
+                    {"id": "γ₁", "role": "support"},
+                    {"id": "δ", "role": "disjoint"},
+                    {"id": "a b", "role": "support"},
+                    {"id": "Z", "role": "disjoint"},
+                ],
+                "lengths": {
+                    "γ₁": [0.05, 0.06], "δ": [0.02, 0.03], "a b": [0.01, 0.011], "Z": [0.07, 0.07]
+                },
+                "lamination": {"γ₁": 3.0, "a b": 1.0},
+                "mode": "iterate",
+                "steps": 4,
+            },
+            "ac47c9ec0814e279d9cbcaf1a8369788b748b439824f4f0150ee53f97151ae9f",
+        ),
+    }
+
     @pytest.mark.parametrize("name", sorted(SIMULATE))
     def test_simulate_shipped_scenarios(self, tmp_path, monkeypatch, name):
         # report.json echoes the scenario path, so run from a copy by relative name.
@@ -632,6 +680,14 @@ class TestGoldenOutputs:
         assert main(["simulate", "--scenario", f"{name}.json", "--out", "out"]) == 0
         expected = self.SIMULATE[name]
         assert {f: sha256(tmp_path / "out" / f) for f in expected} == expected
+
+    @pytest.mark.parametrize("name", sorted(TRAJECTORIES))
+    def test_simulate_trajectory(self, tmp_path, name):
+        scenario, digest = self.TRAJECTORIES[name]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert sha256(tmp_path / "out" / "trajectory.csv") == digest
 
     def test_verify_all_report(self, tmp_path):
         code = main(["verify", "all", "--lattice", "65", "--seed", "0", "--out", str(tmp_path)])

@@ -57,97 +57,125 @@ class TestDumps:
 
 
 class TestCsv:
-    def test_cells(self, tmp_path):
-        path = tmp_path / "t.csv"
-        write_csv(path, ["a", "b", "c"], [[1, 0.5, True], [2, 1.0 / 3.0, False]])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "a,b,c"
-        assert lines[1] == "1,0.5,true"
-        assert float(lines[2].split(",")[1]) == 1.0 / 3.0
-
-    def test_array_and_rows_write_identical_bytes(self, tmp_path):
-        values = [[-0.0, 0.0, 2.0], [math.inf, -math.inf, math.nan], [0.1, 1e300, -5.0]]
-        write_csv(tmp_path / "rows.csv", ["a", "b", "c"], values)
-        write_csv(tmp_path / "array.csv", ["a", "b", "c"], np.array(values))
-        text = (tmp_path / "rows.csv").read_text()
-        assert (tmp_path / "array.csv").read_text() == text
-        assert text.splitlines()[1:] == [
+    def test_float_columns(self, tmp_path):
+        columns = [
+            np.array([-0.0, math.inf, 0.1]),
+            np.array([0.0, -math.inf, 1e300]),
+            np.array([2.0, math.nan, -5.0]),
+        ]
+        write_csv(tmp_path / "t.csv", ["a", "b", "c"], *columns)
+        assert (tmp_path / "t.csv").read_text().splitlines() == [
+            "a,b,c",
             "-0.0,0.0,2.0",
             "Infinity,-Infinity,NaN",
             "0.10000000000000001,1.0000000000000001e+300,-5.0",
         ]
 
     def test_mixed_columns(self, tmp_path):
-        path = tmp_path / "t.csv"
-        rows = [[0, "g", True, np.float64(0.5)], [np.int64(1), "h", False, 3]]
-        write_csv(path, ["step", "curve", "ok", "x"], rows)
-        assert path.read_text() == "step,curve,ok,x\n0,g,true,0.5\n1,h,false,3\n"
-
-    def test_ragged_rows_raise(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], [3.0]])
+        step, curve = np.array([b"0", b"10"]), np.array(["g".encode(), "γ₁".encode()])
+        write_csv(tmp_path / "t.csv", ["step", "curve", "x"], step, curve, np.array([0.5, 3.0]))
+        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == (
+            "step,curve,x\n0,g,0.5\n10,γ₁,3.0\n"
+        )
 
     def test_line_count_matches_len_rows(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, ["a", "b"], rows=np.zeros((5, 2)))
+        write_csv(path, ["a", "b"], np.zeros(5), np.zeros(5))
         assert len(path.read_text().splitlines()) == 6
 
+    def test_unequal_columns_raise(self, tmp_path):
+        with pytest.raises(ValueError, match="column 1 has 2 rows"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], np.zeros(3), np.zeros(2))
 
-def reference_csv(header, table: np.ndarray) -> str:
-    """The CSV text of ``table`` formatted one cell at a time."""
-    lines = [",".join(header)] + [",".join(map(format_float, row)) for row in table.tolist()]
-    return "\n".join(lines) + "\n"
+    def test_zero_columns_raise(self, tmp_path):
+        with pytest.raises(ValueError, match="one column per header field, got 0"):
+            write_csv(tmp_path / "t.csv", [])
+
+    @pytest.mark.parametrize("header", [["a"], ["a", "b", "c"]])
+    def test_header_length_must_match_columns(self, tmp_path, header):
+        with pytest.raises(ValueError, match="one column per header field, got 2"):
+            write_csv(tmp_path / "t.csv", header, np.zeros(3), np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "column", [np.zeros((3, 2)), np.arange(3), np.zeros(3, np.float32), np.array(["a"])]
+    )
+    def test_columns_are_1d_float64_or_bytes(self, tmp_path, column):
+        with pytest.raises(ValueError, match="1-D float64 or bytes"):
+            write_csv(tmp_path / "t.csv", ["a"], column)
+
+
+def reference_csv(header, *columns: np.ndarray) -> bytes:
+    """The CSV text of ``columns`` formatted one cell at a time."""
+    def cell(value):
+        return value if isinstance(value, bytes) else format_float(value).encode()
+
+    lines = [",".join(header).encode()]
+    lines += [b",".join(map(cell, row)) for row in zip(*(c.tolist() for c in columns))]
+    return b"\n".join(lines) + b"\n"
+
+
+# Bytes cells as a CSV table holds them: no ",", '"' or control character.
+CELL_TEXT = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters=',"'), max_size=4
+)
 
 
 class TestFloatTables:
-    """Float arrays are formatted once per distinct value and per block; the
-    bytes must match the per-cell reference."""
+    """Float columns are formatted once per distinct value and per block, and
+    bytes columns are copied; the bytes must match the per-cell reference."""
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         specials=st.sets(st.sampled_from(range(len(SPECIAL_FLOATS))), min_size=1),
         others=st.lists(st.floats(), max_size=3),
+        texts=st.lists(CELL_TEXT, min_size=1, max_size=4),
         n_cols=st.integers(1, 3),
         n_rows=st.integers(0, 40),
         block_rows=st.integers(1, 8),
         data=st.data(),
     )
     def test_matches_per_cell_reference(
-        self, tmp_path, specials, others, n_cols, n_rows, block_rows, data
+        self, tmp_path, specials, others, texts, n_cols, n_rows, block_rows, data
     ):
-        # A small pool drawn from by index gives columns with many repeats.
+        # Small pools drawn from by index give columns with many repeats.
         pool = [SPECIAL_FLOATS[i] for i in sorted(specials)] + others
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
                                    min_size=n_rows * n_cols, max_size=n_rows * n_cols))
         table = np.array([pool[i] for i in picks], dtype=float).reshape(n_rows, n_cols)
-        header = [f"c{j}" for j in range(n_cols)]
+        labels = data.draw(st.lists(st.sampled_from(texts), min_size=n_rows, max_size=n_rows))
+        columns = list(table.T)
+        columns.insert(
+            data.draw(st.integers(0, n_cols)),
+            np.array([text.encode() for text in labels], dtype=bytes),
+        )
+        header = [f"c{j}" for j in range(n_cols + 1)]
         with mock.patch.object(report, "BLOCK_ROWS", block_rows):
-            write_csv(tmp_path / "t.csv", header, table)
-        assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, table).encode()
+            write_csv(tmp_path / "t.csv", header, *columns)
+        assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, *columns)
 
     @pytest.mark.parametrize("n_rows", [4 * BLOCK_ROWS - 1, 4 * BLOCK_ROWS, 4 * BLOCK_ROWS + 1])
     def test_tables_around_the_block_size(self, tmp_path, n_rows):
         rng = np.random.default_rng(n_rows)
         values = np.array(SPECIAL_FLOATS + rng.normal(size=50).tolist())
         table = values[rng.integers(0, len(values), size=(n_rows, 3))]
-        write_csv(tmp_path / "t.csv", ["a", "b", "c"], table)
-        assert (tmp_path / "t.csv").read_bytes() == reference_csv(["a", "b", "c"], table).encode()
+        write_csv(tmp_path / "t.csv", ["a", "b", "c"], *table.T)
+        assert (tmp_path / "t.csv").read_bytes() == reference_csv(["a", "b", "c"], *table.T)
 
     def test_signed_zeros_in_one_column_stay_distinct(self, tmp_path):
         # 0.0 == -0.0, so deduplicating on the float value would merge them.
-        write_csv(tmp_path / "t.csv", ["z"], np.array([[0.0], [-0.0], [0.0], [-0.0]]))
+        write_csv(tmp_path / "t.csv", ["z"], np.array([0.0, -0.0, 0.0, -0.0]))
         assert (tmp_path / "t.csv").read_text() == "z\n0.0\n-0.0\n0.0\n-0.0\n"
 
 
 def assert_column_matches_reference(tmp_path, values):
     """write_csv of ``values`` as one column writes format_float of each value."""
-    table = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    write_csv(tmp_path / "t.csv", ["v"], table)
+    column = np.asarray(values, dtype=np.float64).ravel()
+    write_csv(tmp_path / "t.csv", ["v"], column)
     written = (tmp_path / "t.csv").read_text().splitlines()[1:]
-    expected = list(map(format_float, table[:, 0].tolist()))
+    expected = list(map(format_float, column.tolist()))
     if written != expected:
-        wrong = [(v, w, e) for v, w, e in zip(table[:, 0].tolist(), written, expected) if w != e]
+        wrong = [(v, w, e) for v, w, e in zip(column.tolist(), written, expected) if w != e]
         pytest.fail(f"{len(written)} cells for {len(expected)} values; "
                     f"(value, written, expected): {wrong[:5]}")
 
