@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, NotSensePreservingError
+from .qcmaps import STRIPE_ROWS
 
 __all__ = ["BeltramiEstimate", "beltrami_estimate", "convergence_order"]
 
@@ -25,30 +26,39 @@ def _abs_mu(w: np.ndarray, dt: float, dx: float, winding: int) -> np.ndarray:
     Stencils: central differences in the interior, second-order one-sided at
     the two t-boundaries, cyclic central differences in x; all are O(h^2).
     The common factor 1/2 of the two Wirtinger derivatives cancels exactly
-    in the quotient and is left out.
+    in the quotient and is left out.  The lattice is processed STRIPE_ROWS
+    rows at a time, each stripe reading one row of w beyond it on either
+    side, so the temporaries are stripe-sized and |mu| is the only full one.
     """
     w = np.ascontiguousarray(w, dtype=np.complex128)
-
-    w_t = np.empty_like(w)
-    np.subtract(w[2:, :], w[:-2, :], out=w_t[1:-1, :])
-    w_t[0, :] = -3.0 * w[0, :] + 4.0 * w[1, :] - w[2, :]
-    w_t[-1, :] = 3.0 * w[-1, :] - 4.0 * w[-2, :] + w[-3, :]
-    w_t /= 2.0 * dt
-
+    n_t = w.shape[0]
     period = 1j * float(winding)
-    w_x = np.empty_like(w)
-    np.subtract(w[:, 2:], w[:, :-2], out=w_x[:, 1:-1])
-    w_x[:, 0] = w[:, 1] - (w[:, -1] - period)
-    w_x[:, -1] = (w[:, 0] + period) - w[:, -2]
-    w_x /= 2.0 * dx
+    abs_mu = np.empty(w.shape)
+    for i0 in range(0, n_t, STRIPE_ROWS):
+        i1 = min(i0 + STRIPE_ROWS, n_t)
+        stripe = w[i0:i1]
 
-    w_x *= 1j
-    mu = w_t + w_x
-    w_t -= w_x
-    del w_x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(mu, w_t, out=mu)
-    abs_mu = np.abs(mu)
+        w_t = np.empty_like(stripe)
+        lo, hi = max(i0, 1), min(i1, n_t - 1)  # the stripe's rows with a central stencil
+        np.subtract(w[lo + 1 : hi + 1], w[lo - 1 : hi - 1], out=w_t[lo - i0 : hi - i0])
+        if i0 == 0:
+            w_t[0, :] = -3.0 * w[0, :] + 4.0 * w[1, :] - w[2, :]
+        if i1 == n_t:
+            w_t[-1, :] = 3.0 * w[-1, :] - 4.0 * w[-2, :] + w[-3, :]
+        w_t /= 2.0 * dt
+
+        w_x = np.empty_like(stripe)
+        np.subtract(stripe[:, 2:], stripe[:, :-2], out=w_x[:, 1:-1])
+        w_x[:, 0] = stripe[:, 1] - (stripe[:, -1] - period)
+        w_x[:, -1] = (stripe[:, 0] + period) - stripe[:, -2]
+        w_x /= 2.0 * dx
+
+        w_x *= 1j
+        mu = w_t + w_x
+        w_t -= w_x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(mu, w_t, out=mu)
+        np.abs(mu, out=abs_mu[i0:i1])
     # A vanishing holomorphic derivative means the map degenerates there;
     # surface it as |mu| = inf rather than NaN so callers see the failure.
     if not np.isfinite(abs_mu.max()):
@@ -80,14 +90,13 @@ def beltrami_estimate(grid_map) -> BeltramiEstimate:
     at t = 0 and t = a, cyclic in x (seam-corrected by the winding).
     Raises NotSensePreservingError if |mu| >= 1 anywhere on the grid.
     """
-    w = grid_map.samples
-    n_t, n_x = w.shape
+    n_t, n_x = grid_map.n_t, grid_map.n_x
     if n_t < MIN_LATTICE or n_x < MIN_LATTICE:
         raise GridError(
             f"lattice {n_t}x{n_x} below the minimum {MIN_LATTICE} per axis; "
             "central differences would not be meaningful"
         )
-    abs_mu = _abs_mu(w, grid_map.dt, grid_map.dx, grid_map.winding)
+    abs_mu = _abs_mu(grid_map.samples, grid_map.dt, grid_map.dx, grid_map.winding)
     sup = float(abs_mu.max())
     if not sup < 1.0:
         i, j = np.unravel_index(int(abs_mu.argmax()), abs_mu.shape)

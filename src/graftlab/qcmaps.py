@@ -1,9 +1,10 @@
 """Quasiconformal building blocks: scaling, shearing and twisting maps.
 
 Maps are modelled on the conformal rectangle [0, a] x [0, 1) of an annulus
-of modulus a (x cyclic with period 1).  A ``GridMap`` stores the lift of a
-map to the x-universal cover, sampled on a regular lattice, as complex
-values w = t' + i x'.  Crossing the seam x -> x + 1 adds 1j * winding.
+of modulus a (x cyclic with period 1).  A ``GridMap`` holds the lift of a
+map to the x-universal cover and its regular lattice; the complex values
+w = t' + i x' on that lattice are sampled on first use.  Crossing the seam
+x -> x + 1 adds 1j * winding.
 
 The analytic dilatation constants attached by the builders are exact for
 scaling and twisting and proven upper bounds for shearing.  The numerical
@@ -12,6 +13,7 @@ estimate in :mod:`graftlab.beltrami` serves as the independent check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -33,11 +35,14 @@ __all__ = [
 
 DEFAULT_LATTICE = 129
 SEAM_TOL = 1e-10
+# Lattice rows sampled, and differentiated by graftlab.beltrami, at a time: a
+# stripe's temporaries stay in cache and no full-lattice temporary is built.
+STRIPE_ROWS = 32
 
 
 @dataclass(frozen=True, eq=False)
 class GridMap:
-    """Sampled lift of an annulus map in logarithmic coordinates.
+    """Lift of an annulus map in logarithmic coordinates, sampled on first use.
 
     samples[i, j] = t'(t_i, x_j) + 1j * x'(t_i, x_j) on the lattice
     t_i = i * a / (n_t - 1), x_j = j / n_x.
@@ -45,23 +50,28 @@ class GridMap:
 
     modulus_domain: float
     modulus_target: float
-    samples: np.ndarray
+    map_fn: Callable
+    n_t: int
+    n_x: int
     winding: int = 1
-    map_fn: Callable | None = None
 
     def __post_init__(self) -> None:
         if not (self.modulus_domain > 0.0 and self.modulus_target > 0.0):
             raise GridError("moduli must be positive")
-        if self.samples.ndim != 2 or self.samples.shape[0] < 3 or self.samples.shape[1] < 3:
-            raise GridError(f"samples must be a lattice of shape >= 3x3, got {self.samples.shape}")
+        if self.n_t < 3 or self.n_x < 3:
+            raise GridError(f"the lattice must be at least 3x3, got {self.n_t}x{self.n_x}")
 
-    @property
-    def n_t(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def n_x(self) -> int:
-        return self.samples.shape[1]
+    @functools.cached_property
+    def samples(self) -> np.ndarray:
+        """The map on the lattice, evaluated STRIPE_ROWS rows of t at a time."""
+        t = np.linspace(0.0, self.modulus_domain, self.n_t)
+        x = np.arange(self.n_x) / self.n_x
+        samples = np.empty((self.n_t, self.n_x), dtype=np.complex128)
+        for i0 in range(0, self.n_t, STRIPE_ROWS):
+            rows = slice(i0, i0 + STRIPE_ROWS)
+            out_t, out_x = self.map_fn(*np.meshgrid(t[rows], x, indexing="ij"))
+            samples[rows] = np.asarray(out_t, dtype=float) + 1j * np.asarray(out_x, dtype=float)
+        return samples
 
     @property
     def dt(self) -> float:
@@ -87,17 +97,13 @@ class GridMap:
         n_x: int = DEFAULT_LATTICE,
         winding: int = 1,
     ) -> "GridMap":
-        """Sample ``map_fn(t, x) -> (t', x')`` (numpy-vectorized) on the lattice.
+        """The map ``map_fn(t, x) -> (t', x')`` (numpy-vectorized) on the lattice.
 
         Checks the seam consistency w(t, 1) = w(t, 0) + 1j * winding on a
-        column of probe points (tolerance 1e-10).
+        column of probe points (tolerance 1e-10); the lattice itself is
+        sampled on first use of ``samples``.
         """
         t = np.linspace(0.0, modulus_domain, n_t)
-        x = np.arange(n_x) / n_x
-        tt, xx = np.meshgrid(t, x, indexing="ij")
-        out_t, out_x = map_fn(tt, xx)
-        samples = np.asarray(out_t, dtype=float) + 1j * np.asarray(out_x, dtype=float)
-
         t0, x0 = map_fn(t, np.zeros_like(t))
         t1, x1 = map_fn(t, np.ones_like(t))
         seam = np.max(np.abs(t1 - t0)) + np.max(np.abs(x1 - (x0 + winding)))
@@ -105,13 +111,7 @@ class GridMap:
             raise GridError(
                 f"map is not consistent at the x-seam: |w(t,1) - w(t,0) - {winding}j| = {seam:.3e}"
             )
-        return cls(
-            modulus_domain=modulus_domain,
-            modulus_target=modulus_target,
-            samples=samples,
-            winding=winding,
-            map_fn=map_fn,
-        )
+        return cls(modulus_domain, modulus_target, map_fn, n_t, n_x, winding)
 
 
 @dataclass(frozen=True)
@@ -286,14 +286,11 @@ def _lift(map_fn: Callable, winding: int) -> Callable:
 
 
 def compose_maps(outer: GridMap, inner: GridMap, tol: float = 1e-12) -> GridMap:
-    """Sample ``outer`` after ``inner`` on the domain lattice of ``inner``.
+    """``outer`` after ``inner`` on the domain lattice of ``inner``.
 
-    Both maps must carry their defining callables (a GridMap built from raw
-    samples does not) and the target rectangle of ``inner`` must match the domain of
-    ``outer``.
+    The target rectangle of ``inner`` must match the domain of ``outer``.
+    Neither map is sampled.
     """
-    if inner.map_fn is None or outer.map_fn is None:
-        raise GridError("composition needs callable-backed grid maps")
     if abs(inner.modulus_target - outer.modulus_domain) > tol * max(1.0, outer.modulus_domain):
         raise GridError(
             f"moduli mismatch: inner target {inner.modulus_target!r} != "

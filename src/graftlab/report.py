@@ -262,5 +262,8 @@ def csv_lines(header: list[str], *columns: np.ndarray) -> Iterator[bytes]:
 
 
 def write_csv(path, header: list[str], *columns: np.ndarray) -> None:
+    lines = csv_lines(header, *columns)
+    first = next(lines)  # checks the columns before the file is opened and truncated
     with open(path, "wb") as fh:
-        fh.writelines(csv_lines(header, *columns))
+        fh.write(first)
+        fh.writelines(lines)

@@ -108,4 +108,4 @@ def test_every_function_is_reached_from_the_cli(tmp_path, monkeypatch):
 
 def test_the_walk_finds_nested_and_decorated_functions():
     names = set(defined_functions().values())
-    assert {"cli.main", "qcmaps.GridMap.n_t", "qcmaps._lift.lifted"} <= names
+    assert {"cli.main", "qcmaps.GridMap.dt", "qcmaps._lift.lifted"} <= names

@@ -1,12 +1,23 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from graftlab import NotSensePreservingError, beltrami_estimate, twist_map
+from graftlab import (
+    BoundaryDistortion,
+    NotSensePreservingError,
+    beltrami_estimate,
+    compose_maps,
+    scaling_map,
+    shearing_map,
+    twist_map,
+)
+from graftlab import beltrami
 from graftlab.beltrami import convergence_order
 from graftlab.errors import GridError
-from graftlab.qcmaps import GridMap
+from graftlab.qcmaps import STRIPE_ROWS, GridMap
 
 
 def wave_map(n: int) -> GridMap:
@@ -76,3 +87,121 @@ class TestConvergence:
         orders = convergence_order([4e-4, 1e-4], 1.0)
         assert orders[0] == pytest.approx(2.0)
 
+
+def reference_samples(grid: GridMap) -> np.ndarray:
+    """The whole lattice in one call of map_fn, as GridMap.from_function sampled it eagerly."""
+    t = np.linspace(0.0, grid.modulus_domain, grid.n_t)
+    x = np.arange(grid.n_x) / grid.n_x
+    tt, xx = np.meshgrid(t, x, indexing="ij")
+    out_t, out_x = grid.map_fn(tt, xx)
+    return np.asarray(out_t, dtype=float) + 1j * np.asarray(out_x, dtype=float)
+
+
+def reference_abs_mu(w: np.ndarray, dt: float, dx: float, winding: int) -> np.ndarray:
+    """beltrami._abs_mu over the whole lattice at once, with full-lattice temporaries."""
+    w = np.ascontiguousarray(w, dtype=np.complex128)
+
+    w_t = np.empty_like(w)
+    np.subtract(w[2:, :], w[:-2, :], out=w_t[1:-1, :])
+    w_t[0, :] = -3.0 * w[0, :] + 4.0 * w[1, :] - w[2, :]
+    w_t[-1, :] = 3.0 * w[-1, :] - 4.0 * w[-2, :] + w[-3, :]
+    w_t /= 2.0 * dt
+
+    period = 1j * float(winding)
+    w_x = np.empty_like(w)
+    np.subtract(w[:, 2:], w[:, :-2], out=w_x[:, 1:-1])
+    w_x[:, 0] = w[:, 1] - (w[:, -1] - period)
+    w_x[:, -1] = (w[:, 0] + period) - w[:, -2]
+    w_x /= 2.0 * dx
+
+    w_x *= 1j
+    mu = w_t + w_x
+    w_t -= w_x
+    del w_x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(mu, w_t, out=mu)
+    abs_mu = np.abs(mu)
+    if not np.isfinite(abs_mu.max()):
+        abs_mu[~np.isfinite(abs_mu)] = np.inf
+    return abs_mu
+
+
+def sin_shear(n: int, amplitude: float = 1.0 / 3.0) -> GridMap:
+    dist = BoundaryDistortion.from_function(
+        lambda x: x + amplitude * np.sin(2 * np.pi * x) / (2 * np.pi),
+        derivative=lambda x: 1.0 + amplitude * np.cos(2 * np.pi * x),
+    )
+    return shearing_map(2.0, dist, n_t=n, n_x=n).grid
+
+
+def mirror_map(n: int) -> GridMap:
+    """(t, x) -> (t, -x): orientation-reversing, |mu| = inf at every point."""
+    return GridMap.from_function(1.0, 1.0, lambda t, x: (t, -x), n_t=n, n_x=n, winding=-1)
+
+
+def fold_map(n: int) -> GridMap:
+    """x -> x + 3 t^2 sin(2 pi x) / (2 pi): folds, |mu| > 1, only where 3 t^2 > 1."""
+
+    def fn(t, x):
+        return t + 0.0 * x, x + 3.0 * t**2 * np.sin(2 * np.pi * x) / (2 * np.pi)
+
+    return GridMap.from_function(1.0, 1.0, fn, n_t=n, n_x=n)
+
+
+MAPS = {
+    "twist": lambda n: twist_map(0.5, 2.0, n_t=n, n_x=n).grid,
+    "scaling": lambda n: scaling_map(5.0, 2.0, n_t=n, n_x=n).grid,
+    "shear": sin_shear,
+    "composed": lambda n: compose_maps(
+        twist_map(2.0, 1.0, n_t=n, n_x=n).grid, scaling_map(2.0, 1.0, n_t=n, n_x=n).grid
+    ),
+    "wave": wave_map,
+    "mirror": mirror_map,
+}
+# One stripe, a stripe and a row either side of the stripe height, and a lone last row.
+SIZES = sorted({33, STRIPE_ROWS - 1, STRIPE_ROWS, STRIPE_ROWS + 1, 2 * STRIPE_ROWS + 1, 129})
+
+
+def assert_same_bits(grid: GridMap) -> None:
+    w = reference_samples(grid)
+    assert np.array_equal(grid.samples.view(np.uint64), w.view(np.uint64))
+    args = (grid.dt, grid.dx, grid.winding)
+    got = beltrami._abs_mu(grid.samples, *args)
+    assert np.array_equal(got.view(np.uint64), reference_abs_mu(w, *args).view(np.uint64))
+
+
+class TestStripes:
+    """Sampling and differentiating in stripes of rows gives the bits of the
+    whole-lattice reference, with stripe-sized temporaries."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("name", MAPS)
+    def test_same_bits_as_whole_lattice(self, name, n):
+        assert_same_bits(MAPS[name](n))
+
+    @pytest.mark.parametrize("build", [MAPS["twist"], sin_shear], ids=["twist", "shear"])
+    def test_same_bits_at_1025(self, build):
+        assert_same_bits(build(1025))
+
+    @pytest.mark.parametrize("build", [mirror_map, fold_map])
+    def test_same_failure_and_message(self, build):
+        grid = build(2 * STRIPE_ROWS + 1)
+        with pytest.raises(NotSensePreservingError) as striped:
+            beltrami_estimate(grid)
+        with mock.patch.object(beltrami, "_abs_mu", reference_abs_mu):
+            with pytest.raises(NotSensePreservingError) as whole:
+                beltrami_estimate(grid)
+        assert str(striped.value) == str(whole.value)
+        assert "lattice point" in str(striped.value)
+
+    def test_estimate_memory(self):
+        # At 513^2 the samples (4.0 MiB) and |mu| (2.0 MiB) are the only
+        # full-lattice arrays.  Whole-lattice sampling and kernel peaked at
+        # 16.1 MiB here, the stripes at 7.2 MiB.
+        tracemalloc.start()
+        try:
+            beltrami_estimate(sin_shear(513, 0.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2**20, f"peak {peak / 2**20:.1f} MiB"

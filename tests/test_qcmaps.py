@@ -142,10 +142,24 @@ class TestGridMap:
     def test_lattice_covers_rectangle(self):
         m = twist_map(2.0, 1.0, n_t=33, n_x=17)
         grid = m.grid
+        assert (grid.n_t, grid.n_x) == (33, 17)
         assert grid.samples.shape == (33, 17)
+        assert grid.samples.dtype == np.complex128
         assert grid.dt == pytest.approx(2.0 / 32)
         assert grid.dx == pytest.approx(1.0 / 17)
         assert grid.samples[0, 0] == pytest.approx(0.0 + 0.0j)
+
+    def test_lattice_at_least_3x3(self):
+        with pytest.raises(GridError, match="at least 3x3, got 2x33"):
+            GridMap.from_function(1.0, 1.0, lambda t, x: (t, x), n_t=2, n_x=33)
+
+    def test_builders_do_not_sample(self):
+        twist = twist_map(2.0, 1.0, n_t=33, n_x=33).grid
+        shear = shearing_map(2.0, sin_distortion(0.05), n_t=33, n_x=33).grid
+        scaling = scaling_map(2.0, 1.0, n_t=33, n_x=33).grid
+        composed = compose_maps(twist, scaling)
+        for grid in (twist, shear, scaling, composed):
+            assert "samples" not in grid.__dict__
 
 
 class TestComposition:
@@ -162,14 +176,3 @@ class TestComposition:
         outer = twist_map(3.0, 1.0, n_t=33, n_x=33)
         with pytest.raises(GridError):
             compose_maps(outer.grid, inner.grid)
-
-    def test_raw_sample_maps_cannot_compose(self):
-        m = twist_map(1.0, 1.0, n_t=33, n_x=33)
-        raw = GridMap(
-            modulus_domain=m.grid.modulus_domain,
-            modulus_target=m.grid.modulus_target,
-            samples=m.grid.samples.copy(),
-            winding=m.grid.winding,
-        )
-        with pytest.raises(GridError, match="callable-backed"):
-            compose_maps(m.grid, raw)

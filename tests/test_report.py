@@ -103,6 +103,14 @@ class TestCsv:
         with pytest.raises(ValueError, match="1-D float64 or bytes"):
             write_csv(tmp_path / "t.csv", ["a"], column)
 
+    def test_malformed_table_leaves_existing_file_unchanged(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a"], np.array([0.5, 2.0]))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="column 1 has 2 rows"):
+            write_csv(path, ["a", "b"], np.zeros(3), np.zeros(2))
+        assert path.read_bytes() == before
+
 
 def reference_csv(header, *columns: np.ndarray) -> bytes:
     """The CSV text of ``columns`` formatted one cell at a time."""
