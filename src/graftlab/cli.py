@@ -175,14 +175,12 @@ def _cmd_simulate(args) -> int:
             "boundary_count": descriptor.boundary_count,
         }
 
-    write_csv(
-        out_dir / "trajectory.csv",
-        ["step", "curve", "lo", "hi", "decay_factor"],
-        *_trajectory_columns(traj),
-    )
     report["final_lengths"] = {
         cid: [iv.lo, iv.hi] for cid, iv in sorted(traj.steps[-1].lengths.items())
     }
+    columns = _trajectory_columns(traj)
+    del traj  # so the table is written without the trajectory beside it
+    write_csv(out_dir / "trajectory.csv", ["step", "curve", "lo", "hi", "decay_factor"], *columns)
     write_json(out_dir / "report.json", report)
     print(f"wrote {out_dir / 'trajectory.csv'} and {out_dir / 'report.json'}")
     return 0

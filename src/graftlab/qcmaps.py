@@ -3,8 +3,8 @@
 Maps are modelled on the conformal rectangle [0, a] x [0, 1) of an annulus
 of modulus a (x cyclic with period 1).  A ``GridMap`` holds the lift of a
 map to the x-universal cover and its regular lattice; the complex values
-w = t' + i x' on that lattice are sampled on first use.  Crossing the seam
-x -> x + 1 adds 1j * winding.
+w = t' + i x' on that lattice are sampled on each access, and nothing
+keeps them.  Crossing the seam x -> x + 1 adds 1j * winding.
 
 The analytic dilatation constants attached by the builders are exact for
 scaling and twisting and proven upper bounds for shearing.  The numerical
@@ -13,7 +13,6 @@ estimate in :mod:`graftlab.beltrami` serves as the independent check.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -42,7 +41,7 @@ STRIPE_ROWS = 32
 
 @dataclass(frozen=True, eq=False)
 class GridMap:
-    """Lift of an annulus map in logarithmic coordinates, sampled on first use.
+    """Lift of an annulus map in logarithmic coordinates, sampled on each access.
 
     samples[i, j] = t'(t_i, x_j) + 1j * x'(t_i, x_j) on the lattice
     t_i = i * a / (n_t - 1), x_j = j / n_x.
@@ -61,7 +60,7 @@ class GridMap:
         if self.n_t < 3 or self.n_x < 3:
             raise GridError(f"the lattice must be at least 3x3, got {self.n_t}x{self.n_x}")
 
-    @functools.cached_property
+    @property
     def samples(self) -> np.ndarray:
         """The map on the lattice, evaluated STRIPE_ROWS rows of t at a time."""
         t = np.linspace(0.0, self.modulus_domain, self.n_t)
@@ -101,7 +100,7 @@ class GridMap:
 
         Checks the seam consistency w(t, 1) = w(t, 0) + 1j * winding on a
         column of probe points (tolerance 1e-10); the lattice itself is
-        sampled on first use of ``samples``.
+        sampled on each access to ``samples``.
         """
         t = np.linspace(0.0, modulus_domain, n_t)
         t0, x0 = map_fn(t, np.zeros_like(t))

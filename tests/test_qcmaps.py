@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,13 +154,18 @@ class TestGridMap:
         with pytest.raises(GridError, match="at least 3x3, got 2x33"):
             GridMap.from_function(1.0, 1.0, lambda t, x: (t, x), n_t=2, n_x=33)
 
-    def test_builders_do_not_sample(self):
-        twist = twist_map(2.0, 1.0, n_t=33, n_x=33).grid
-        shear = shearing_map(2.0, sin_distortion(0.05), n_t=33, n_x=33).grid
-        scaling = scaling_map(2.0, 1.0, n_t=33, n_x=33).grid
-        composed = compose_maps(twist, scaling)
-        for grid in (twist, shear, scaling, composed):
-            assert "samples" not in grid.__dict__
+    def test_samples_do_not_outlive_the_estimate(self):
+        # Of a 513^2 map, only the estimate's |mu| (2.0 MiB) stays alive; cached
+        # samples would add 4.0 MiB.
+        tracemalloc.start()
+        try:
+            grid = shearing_map(2.0, sin_distortion(0.05), n_t=513, n_x=513).grid
+            est = beltrami_estimate(grid)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        extra = live - est.abs_mu.nbytes
+        assert extra < 2**20, f"{extra / 2**20:.2f} MiB live beside |mu|"
 
 
 class TestComposition:

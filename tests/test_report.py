@@ -1,5 +1,8 @@
+import errno
 import json
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -130,7 +133,8 @@ CELL_TEXT = st.text(
 
 class TestFloatTables:
     """Float columns are formatted once per distinct value and per block, and
-    bytes columns are copied; the bytes must match the per-cell reference."""
+    bytes columns are copied; at any block size and worker count the bytes
+    must match the per-cell reference."""
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -141,10 +145,11 @@ class TestFloatTables:
         n_cols=st.integers(1, 3),
         n_rows=st.integers(0, 40),
         block_rows=st.integers(1, 8),
+        workers=st.integers(1, 3),
         data=st.data(),
     )
     def test_matches_per_cell_reference(
-        self, tmp_path, specials, others, texts, n_cols, n_rows, block_rows, data
+        self, tmp_path, specials, others, texts, n_cols, n_rows, block_rows, workers, data
     ):
         # Small pools drawn from by index give columns with many repeats.
         pool = [SPECIAL_FLOATS[i] for i in sorted(specials)] + others
@@ -158,7 +163,8 @@ class TestFloatTables:
             np.array([text.encode() for text in labels], dtype=bytes),
         )
         header = [f"c{j}" for j in range(n_cols + 1)]
-        with mock.patch.object(report, "BLOCK_ROWS", block_rows):
+        with mock.patch.object(report, "BLOCK_ROWS", block_rows), \
+                mock.patch.object(report, "WORKERS", workers):
             write_csv(tmp_path / "t.csv", header, *columns)
         assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, *columns)
 
@@ -174,6 +180,71 @@ class TestFloatTables:
         # 0.0 == -0.0, so deduplicating on the float value would merge them.
         write_csv(tmp_path / "t.csv", ["z"], np.array([0.0, -0.0, 0.0, -0.0]))
         assert (tmp_path / "t.csv").read_text() == "z\n0.0\n-0.0\n0.0\n-0.0\n"
+
+
+class FullDisk:
+    """An open file that takes the header and the first block, then fails as a full disk does."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def write(self, chunk):
+        if len(self.chunks) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.chunks.append(chunk)
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+class TestPool:
+    """Blocks are formatted on worker threads: the bytes do not depend on how
+    many, an error reaches the caller, and no thread outlives the table."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self):
+        with mock.patch.object(report, "BLOCK_ROWS", 4), mock.patch.object(report, "WORKERS", 3):
+            yield
+
+    def test_bytes_do_not_depend_on_the_worker_count(self):
+        rng = np.random.default_rng(3)
+        columns = (rng.normal(size=200), np.array([b"%d" % k for k in range(200)]))
+        texts = set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for workers in (1, 2, 3, 8):
+                with mock.patch.object(report, "WORKERS", workers):
+                    texts.add(b"".join(report.csv_lines(["x", "k"], *columns)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert texts == {reference_csv(["x", "k"], *columns)}
+
+    def test_write_error_reaches_the_caller(self, tmp_path):
+        disk, before = FullDisk(), threading.active_count()
+        with mock.patch.object(report, "open", create=True, return_value=disk):
+            with pytest.raises(OSError) as raised:
+                write_csv(tmp_path / "t.csv", ["v"], np.arange(40.0))
+        assert raised.value.errno == errno.ENOSPC
+        assert disk.chunks == [b"v\n", b"0.0\n1.0\n2.0\n3.0\n"]
+        # The traceback held here keeps write_csv's frame, and so the lines, alive.
+        assert threading.active_count() == before
+
+    def test_closing_the_lines_early_stops_the_pool(self):
+        before = threading.active_count()
+        lines = report.csv_lines(["v"], np.arange(40.0))
+        assert next(lines) == b"v\n"
+        assert next(lines) == b"0.0\n1.0\n2.0\n3.0\n"
+        assert threading.active_count() > before
+        lines.close()
+        assert threading.active_count() == before
 
 
 def assert_column_matches_reference(tmp_path, values):
