@@ -24,7 +24,6 @@ from .annuli import (
     to_log_coords,
 )
 from .qcmaps import (
-    BoundaryDistortion,
     GridMap,
     QCMap,
     compose_maps,
@@ -35,7 +34,6 @@ from .qcmaps import (
 from .beltrami import BeltramiEstimate, beltrami_estimate
 from .dilatation import (
     ComparisonBudget,
-    DilatationBudget,
     bilipschitz_F_bound,
     comparison_budget,
     twist_amount_bound,

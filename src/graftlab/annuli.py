@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+LOG_COORDS_TOL = 1e-9  # how far outside [0, log_width] a point's t may fall
 
 
 @dataclass(frozen=True)
@@ -71,17 +72,17 @@ def core_length(mod: float) -> float:
     return math.pi / mod
 
 
-def to_log_coords(annulus: RoundAnnulus, z: complex, tol: float = 1e-9) -> tuple[float, float]:
+def to_log_coords(annulus: RoundAnnulus, z: complex) -> tuple[float, float]:
     """Log coordinates (t, x) of z: t = log|z/inner| in [0, log_width], x = arg/2pi in [0, 1).
 
-    z must lie in the closed annulus (up to relative tolerance ``tol``).
+    z must lie in the closed annulus, up to LOG_COORDS_TOL in t.
     """
     r = abs(z) / annulus.inner
     width = annulus.log_width
     if r <= 0.0:
         raise ValueError("z = 0 is not in the annulus")
     t = math.log(r)
-    if t < -tol or t > width + tol:
+    if t < -LOG_COORDS_TOL or t > width + LOG_COORDS_TOL:
         raise ValueError(
             f"point with |z|={abs(z)!r} lies outside the closed annulus "
             f"[{annulus.inner!r}, {annulus.outer!r}]"

@@ -19,16 +19,9 @@ import numpy as np
 from . import __version__, dynamics
 from .beltrami import beltrami_estimate, convergence_order
 from .errors import GraftLabError, ScenarioError
-from .qcmaps import BoundaryDistortion, scaling_map, shearing_map, twist_map
+from .qcmaps import DEFAULT_LATTICE, scaling_map, shearing_map, twist_map
 from .report import write_csv, write_json
-from .scenario import (
-    DEFAULT_LATTICE,
-    MapSpec,
-    check_lattice,
-    load_map_spec,
-    load_scenario,
-    resolve_constants,
-)
+from .scenario import MapSpec, check_lattice, load_map_spec, load_scenario, resolve_constants
 from .verify import run_suite
 
 __all__ = ["main"]
@@ -192,12 +185,7 @@ def _build_map(spec: MapSpec, lattice: int):
         return twist_map(p["a"], p["k"], n_t=lattice, n_x=lattice)
     if spec.kind == "scaling":
         return scaling_map(p["a"], p["b"], n_t=lattice, n_x=lattice)
-    amp = p.get("amplitude", 0.1)
-    dist = BoundaryDistortion.from_function(
-        lambda x: x + amp * np.sin(2.0 * np.pi * x) / (2.0 * np.pi),
-        derivative=lambda x: 1.0 + amp * np.cos(2.0 * np.pi * x),
-    )
-    return shearing_map(p["a"], dist, n_t=lattice, n_x=lattice)
+    return shearing_map(p["a"], p.get("amplitude", 0.1), n_t=lattice, n_x=lattice)
 
 
 def _cmd_qc_check(args) -> int:

@@ -16,7 +16,8 @@ from typing import Literal
 from .annuli import extended_cylinder_modulus
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import GeometryError, ShortnessError
-from .grafting import bounding_annulus_moduli, bounding_radius, single_curve_graft_bounds
+from .grafting import bounding_annulus_moduli, single_curve_graft_bounds
+from .hypgeom import freehomotopy_distance
 from .qcmaps import twist_dilatation_excess
 
 __all__ = [
@@ -24,7 +25,6 @@ __all__ = [
     "UntwistChain",
     "untwist_chain",
     "bilipschitz_F_bound",
-    "DilatationBudget",
     "ComparisonBudget",
     "comparison_budget",
 ]
@@ -61,12 +61,7 @@ def _untwist_bound_from_ratio_sq(l_ratio_sq: float) -> float:
 class UntwistChain:
     """Untwist bound driven by a length and the model radius R = T * l^{1/4}."""
 
-    log_k_bound: float
-    effective_c: float      # log_k_bound / l^{1/8}
-    mod_c1: float
-    mod_c2: float
-    radius_model: float
-    grafted_length_hi: float
+    effective_c: float      # the log K bound / l^{1/8}
 
 
 def untwist_chain(
@@ -80,17 +75,8 @@ def untwist_chain(
     (effective constant) * l^{1/8}.
     """
     interval = single_curve_graft_bounds(l, t)
-    radius = t_radius * l**0.25
-    moduli = bounding_annulus_moduli(interval.hi, radius)
-    bound = _untwist_bound_from_ratio_sq(moduli.ratio**2)
-    return UntwistChain(
-        log_k_bound=bound,
-        effective_c=bound / l**0.125,
-        mod_c1=moduli.mod_c1,
-        mod_c2=moduli.mod_c2,
-        radius_model=radius,
-        grafted_length_hi=interval.hi,
-    )
+    moduli = bounding_annulus_moduli(interval.hi, t_radius * l**0.25)
+    return UntwistChain(effective_c=_untwist_bound_from_ratio_sq(moduli.ratio**2) / l**0.125)
 
 
 FCase = Literal["D_is_B", "D_in_C"]
@@ -121,10 +107,13 @@ def bilipschitz_F_bound(mod_b: float, mod_c: float, kappa: float, case: FCase) -
 
 
 @dataclass(frozen=True)
-class DilatationBudget:
-    """Additive ledger of log-dilatation contributions of composed maps."""
+class ComparisonBudget:
+    """Comparison-map budget for one grafted curve of length l and weight t:
+    an additive ledger of the log-dilatations of the composed maps."""
 
     entries: tuple[tuple[str, float], ...]
+    length: float                 # l
+    modulus_ratio: float          # Mod(C1)/Mod(C2) of the bounding annuli
 
     def __post_init__(self) -> None:
         for label, value in self.entries:
@@ -135,22 +124,10 @@ class DilatationBudget:
     def total(self) -> float:
         return sum(value for _, value in self.entries)
 
-
-@dataclass(frozen=True)
-class ComparisonBudget:
-    """Comparison-map budget for one grafted curve of length l and weight t."""
-
-    budget: DilatationBudget
-    total: float
-    effective_c: float            # total / l^{1/8}
-    modulus_ratio: float          # Mod(C1)/Mod(C2) of the bounding annuli
-    radius_exact: float
-    radius_model: float
-    mod_c1: float
-    mod_c2: float
-    mod_extended_half: float      # (t/2 + theta(l)) / l
-    unshear_bilipschitz: float
-    kappa_is_placeholder: bool
+    @property
+    def effective_c(self) -> float:
+        """total / l^{1/8}."""
+        return self.total / self.length**0.125
 
 
 def comparison_budget(
@@ -162,8 +139,8 @@ def comparison_budget(
     shearing realizing the uniformizer's boundary distortion, a unit twist
     to fix a boundary point, unshearing of the chart-comparison distortion,
     and the final untwist.  All entries are computed from the certified
-    one-step length bounds; the radius used is the computed one (the
-    coarser model cap T_radius * l^{1/4} is reported alongside).
+    one-step length bounds; the bounding-annulus radius is the tube radius
+    of that interval, not the coarser model cap T_radius * l^{1/4}.
     Raises ShortnessError above the threshold and GeometryError when a
     precondition of one of the cited estimates fails.
     """
@@ -173,8 +150,7 @@ def comparison_budget(
             f"{constants.epsilon!r}"
         )
     interval = single_curve_graft_bounds(l, t)
-    radius = bounding_radius(interval.hi, interval.lo, l, cap_coefficient=constants.T_radius)
-    moduli = bounding_annulus_moduli(interval.hi, radius.exact)
+    moduli = bounding_annulus_moduli(interval.hi, freehomotopy_distance(interval.hi, interval.lo))
     rho = moduli.ratio
     if not rho < 2.0:
         raise GeometryError(
@@ -206,26 +182,14 @@ def comparison_budget(
 
     untwist_entry = _untwist_bound_from_ratio_sq(rho * rho)
 
-    budget = DilatationBudget(
+    return ComparisonBudget(
         entries=(
             ("scaling", scaling_entry),
             ("shearing", shearing_entry),
             ("unit_twist", unit_twist_entry),
             ("unshearing", unshear_entry),
             ("untwist", untwist_entry),
-        )
-    )
-    total = budget.total
-    return ComparisonBudget(
-        budget=budget,
-        total=total,
-        effective_c=total / l**0.125,
+        ),
+        length=l,
         modulus_ratio=rho,
-        radius_exact=radius.exact,
-        radius_model=radius.cap,
-        mod_c1=moduli.mod_c1,
-        mod_c2=moduli.mod_c2,
-        mod_extended_half=mod_half,
-        unshear_bilipschitz=unshear_l,
-        kappa_is_placeholder=constants.kappa_is_placeholder,
     )

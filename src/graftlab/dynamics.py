@@ -302,8 +302,6 @@ class CounterexampleReport:
 
     ratios: tuple[float, ...]            # hi(gamma2)/lo(gamma1) per step
     decreasing_from: int                 # first index with strict decrease onward
-    weights: dict[str, float]
-    trajectory: GraftingTrajectory
 
 
 def counterexample_ratio(
@@ -327,12 +325,7 @@ def counterexample_ratio(
     lam = WeightedMulticurve({"gamma1": math.pi, "gamma2": 2.0 * math.pi})
     traj = iterate_grafting(state, lam, n_steps)
     ratios = certified_ratio_series(traj, "gamma2", "gamma1")
-    return CounterexampleReport(
-        ratios=ratios,
-        decreasing_from=strict_decrease_index(ratios),
-        weights=dict(lam.weights),
-        trajectory=traj,
-    )
+    return CounterexampleReport(ratios=ratios, decreasing_from=strict_decrease_index(ratios))
 
 
 @dataclass(frozen=True)
@@ -340,7 +333,6 @@ class EndpointDescriptor:
     """Data of the grafting-ray endpoint: cut at the support, cusp pair per curve."""
 
     cusp_pairs: tuple[str, ...]          # one entry per support curve
-    retained: dict[str, LengthInterval]  # intervals of curves surviving the cut
 
     @property
     def boundary_count(self) -> int:
@@ -352,12 +344,7 @@ def endpoint_descriptor(state: LengthState, lam: WeightedMulticurve) -> Endpoint
     for cid in lam.support:
         if cid not in state.lengths:
             raise ValueError(f"lamination references untracked curve {cid!r}")
-    retained = {
-        cid: interval
-        for cid, interval in sorted(state.lengths.items())
-        if cid not in lam.support
-    }
-    return EndpointDescriptor(cusp_pairs=tuple(sorted(lam.support)), retained=retained)
+    return EndpointDescriptor(cusp_pairs=tuple(sorted(lam.support)))
 
 
 @dataclass(frozen=True)

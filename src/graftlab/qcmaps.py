@@ -23,7 +23,6 @@ from .errors import GeometryError, GridError
 
 __all__ = [
     "GridMap",
-    "BoundaryDistortion",
     "QCMap",
     "scaling_map",
     "shearing_map",
@@ -32,8 +31,9 @@ __all__ = [
     "compose_maps",
 ]
 
-DEFAULT_LATTICE = 129
+DEFAULT_LATTICE = 129  # lattice points per side when neither a map spec nor --lattice names one
 SEAM_TOL = 1e-10
+MODULI_TOL = 1e-12  # relative: a composed pair's inner target and outer domain must agree
 # Lattice rows sampled, and differentiated by graftlab.beltrami, at a time: a
 # stripe's temporaries stay in cache and no full-lattice temporary is built.
 STRIPE_ROWS = 32
@@ -113,49 +113,6 @@ class GridMap:
         return cls(modulus_domain, modulus_target, map_fn, n_t, n_x, winding)
 
 
-@dataclass(frozen=True)
-class BoundaryDistortion:
-    """Increasing C^1 self-map f of [0, 1] with f(0) = 0, f(1) = 1.
-
-    ``bilipschitz_constant`` is B = max(sup f', 1/inf f') measured on a
-    dense grid (from the supplied derivative when available, otherwise by
-    cyclic central differences of f extended by f(x + 1) = f(x) + 1).
-    """
-
-    f: Callable
-    bilipschitz_constant: float
-    derivative: Callable | None = None
-
-    @classmethod
-    def from_function(
-        cls,
-        f: Callable,
-        derivative: Callable | None = None,
-        grid_size: int = 4096,
-    ) -> "BoundaryDistortion":
-        x = np.arange(grid_size) / grid_size
-        endpoints = abs(float(f(0.0))) + abs(float(f(1.0)) - 1.0)
-        if endpoints > 1e-12:
-            raise GeometryError(f"distortion must fix 0 and 1, got deviation {endpoints:.3e}")
-        if derivative is not None:
-            fp = np.asarray(derivative(x), dtype=float)
-        else:
-            # Cyclic central differences of the lift f(x + 1) = f(x) + 1.
-            h = 1.0 / grid_size
-            vals = np.asarray(f(x), dtype=float)
-            fwd = np.roll(vals, -1)
-            fwd[-1] = vals[0] + 1.0
-            bwd = np.roll(vals, 1)
-            bwd[0] = vals[-1] - 1.0
-            fp = (fwd - bwd) / (2.0 * h)
-        inf_fp = float(fp.min())
-        sup_fp = float(fp.max())
-        if not inf_fp > 0.0:
-            raise GeometryError(f"distortion is not increasing: inf f' = {inf_fp!r}")
-        b = max(sup_fp, 1.0 / inf_fp)
-        return cls(f=f, bilipschitz_constant=b, derivative=derivative)
-
-
 @dataclass(frozen=True, eq=False)
 class QCMap:
     """A built map with its analytic dilatation information."""
@@ -163,9 +120,7 @@ class QCMap:
     grid: GridMap
     analytic_k: float
     k_is_exact: bool
-    analytic_abs_mu: float | None = None     # set when |mu| is constant
-    log_k_linear_bound: float | None = None  # C_shear * (B - 1), shears only
-    bilipschitz_constant: float | None = None
+    bilipschitz_constant: float | None = None  # shears only
 
 
 def scaling_map(
@@ -184,9 +139,7 @@ def scaling_map(
         return ratio * t, x
 
     grid = GridMap.from_function(b, a, fn, n_t=n_t, n_x=n_x)
-    k = max(a, b) / min(a, b)
-    abs_mu = abs(a - b) / (a + b)
-    return QCMap(grid=grid, analytic_k=k, k_is_exact=True, analytic_abs_mu=abs_mu)
+    return QCMap(grid=grid, analytic_k=max(a, b) / min(a, b), k_is_exact=True)
 
 
 def twist_map(a: float, k: float, n_t: int = DEFAULT_LATTICE, n_x: int = DEFAULT_LATTICE) -> QCMap:
@@ -204,17 +157,12 @@ def twist_map(a: float, k: float, n_t: int = DEFAULT_LATTICE, n_x: int = DEFAULT
 
     grid = GridMap.from_function(a, a, fn, n_t=n_t, n_x=n_x)
     if k == 0.0:
-        return QCMap(grid=grid, analytic_k=1.0, k_is_exact=True, analytic_abs_mu=0.0)
+        return QCMap(grid=grid, analytic_k=1.0, k_is_exact=True)
     try:
         q = 4.0 * (a / k) ** 2
     except OverflowError:  # a/k beyond ~1e154; K - 1 -> 0 there
         q = math.inf
-    return QCMap(
-        grid=grid,
-        analytic_k=1.0 + twist_dilatation_excess(q),
-        k_is_exact=True,
-        analytic_abs_mu=1.0 / math.sqrt(1.0 + q),
-    )
+    return QCMap(grid=grid, analytic_k=1.0 + twist_dilatation_excess(q), k_is_exact=True)
 
 
 def twist_dilatation_excess(q: float) -> float:
@@ -233,44 +181,37 @@ def twist_dilatation_excess(q: float) -> float:
 
 
 def shearing_map(
-    a: float,
-    distortion: BoundaryDistortion,
-    c_shear: float = 2.0 * math.sqrt(2.0),
-    n_t: int = DEFAULT_LATTICE,
-    n_x: int = DEFAULT_LATTICE,
+    a: float, amplitude: float, n_t: int = DEFAULT_LATTICE, n_x: int = DEFAULT_LATTICE
 ) -> QCMap:
-    """Self-map of the modulus-a rectangle realizing ``distortion`` on the outer boundary.
+    """Self-map of the modulus-a rectangle realizing a sine distortion on the outer boundary.
 
-    S_f(t, x) = (t, (1 - t/a) x + (t/a) f(x)): identity on t = 0, x -> f(x)
-    on t = a.  Requires a > 1 and B < 2.  The attached dilatation bound is
+    f(x) = x + amplitude sin(2 pi x) / (2 pi), and S_f(t, x) = (t, (1 - t/a) x
+    + (t/a) f(x)): identity on t = 0, x -> f(x) on t = a.  f has bilipschitz
+    constant B = max(1 + |amplitude|, 1 / (1 - |amplitude|)), and B = inf for
+    |amplitude| >= 1, where f is not increasing.  Requires a > 1 and B < 2.
+    The attached dilatation bound is
 
         K <= (3 - B + sqrt(2)(B - 1)) / (3 - B - sqrt(2)(B - 1)),
 
     reported as inf when the closed form degenerates (B >= (3 + sqrt 2) /
     (1 + sqrt 2) ~ 1.828, where the estimate's norm reaches 1 before the
-    stated B < 2 hypothesis does).  ``log_k_linear_bound`` carries the
-    linearized form c_shear * (B - 1).
+    stated B < 2 hypothesis does).
     """
     if not a > 1.0:
         raise GeometryError(f"shearing map requires modulus a > 1, got {a!r}")
-    b = distortion.bilipschitz_constant
+    size = abs(amplitude)
+    b = max(1.0 + size, 1.0 / (1.0 - size)) if size < 1.0 else math.inf
     if not b < 2.0:
         raise GeometryError(f"shearing map requires bilipschitz constant B < 2, got {b!r}")
-    f = distortion.f
 
     def fn(t, x):
-        return t + 0.0 * x, (1.0 - t / a) * x + (t / a) * np.asarray(f(x), dtype=float)
+        f = x + amplitude * np.sin(2.0 * np.pi * x) / (2.0 * np.pi)
+        return t + 0.0 * x, (1.0 - t / a) * x + (t / a) * f
 
     grid = GridMap.from_function(a, a, fn, n_t=n_t, n_x=n_x)
     norm = math.sqrt(2.0) * (b - 1.0) / (3.0 - b)
     analytic_k = (1.0 + norm) / (1.0 - norm) if norm < 1.0 else math.inf
-    return QCMap(
-        grid=grid,
-        analytic_k=analytic_k,
-        k_is_exact=False,
-        log_k_linear_bound=c_shear * (b - 1.0),
-        bilipschitz_constant=b,
-    )
+    return QCMap(grid=grid, analytic_k=analytic_k, k_is_exact=False, bilipschitz_constant=b)
 
 
 def _lift(map_fn: Callable, winding: int) -> Callable:
@@ -284,13 +225,14 @@ def _lift(map_fn: Callable, winding: int) -> Callable:
     return lifted
 
 
-def compose_maps(outer: GridMap, inner: GridMap, tol: float = 1e-12) -> GridMap:
+def compose_maps(outer: GridMap, inner: GridMap) -> GridMap:
     """``outer`` after ``inner`` on the domain lattice of ``inner``.
 
     The target rectangle of ``inner`` must match the domain of ``outer``.
     Neither map is sampled.
     """
-    if abs(inner.modulus_target - outer.modulus_domain) > tol * max(1.0, outer.modulus_domain):
+    mismatch = abs(inner.modulus_target - outer.modulus_domain)
+    if mismatch > MODULI_TOL * max(1.0, outer.modulus_domain):
         raise GridError(
             f"moduli mismatch: inner target {inner.modulus_target!r} != "
             f"outer domain {outer.modulus_domain!r}"

@@ -73,6 +73,7 @@ BLOCK_ROWS = 1 << 14  # rows formatted and written per block of CSV text
 # Threads that format blocks: one per CPU this process may run on.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _WIDTH = 24  # bytes of the widest cell, "-2.2250738585072014e-308"
+INDENT = 2  # spaces per nesting level of JSON text
 
 
 def format_float(x: float) -> str:
@@ -109,9 +110,9 @@ def jsonable(obj):
     return obj
 
 
-def _render(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _render(obj, level: int) -> str:
+    pad = " " * (INDENT * level)
+    pad_in = " " * (INDENT * (level + 1))
     if obj is None:
         return "null"
     if obj is True:
@@ -129,20 +130,20 @@ def _render(obj, indent: int, level: int) -> str:
             return "{}"
         items = []
         for key in sorted(obj, key=str):
-            rendered = _render(obj[key], indent, level + 1)
+            rendered = _render(obj[key], level + 1)
             items.append(f"{pad_in}{json.dumps(str(key))}: {rendered}")
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{pad_in}{_render(v, indent, level + 1)}" for v in obj]
+        items = [f"{pad_in}{_render(v, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Deterministic JSON text (sorted keys, 17-digit floats)."""
-    return _render(jsonable(obj), indent, 0) + "\n"
+def dumps(obj) -> str:
+    """Deterministic JSON text (sorted keys, 17-digit floats, INDENT spaces per level)."""
+    return _render(jsonable(obj), 0) + "\n"
 
 
 def write_json(path, obj) -> None:

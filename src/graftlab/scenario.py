@@ -35,9 +35,9 @@ from .beltrami import MAX_LATTICE, MIN_LATTICE
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import ScenarioError
 from .grafting import LengthInterval, LengthState, Role, WeightedMulticurve
+from .qcmaps import DEFAULT_LATTICE
 
 __all__ = [
-    "DEFAULT_LATTICE",
     "MAX_STEPS",
     "MapSpec",
     "Scenario",
@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 MAX_STEPS = 100_000
-DEFAULT_LATTICE = 129  # lattice size per side when neither a spec nor --lattice names one
 MODES = ("iterate", "ray", "counterexample", "accumulation", "cauchy")
 # Required and optional parameters of each map kind.
 MAP_PARAMS = {
@@ -287,7 +286,7 @@ def load_map_spec(path, lattice: int | None = None) -> MapSpec:
     required, optional = MAP_PARAMS[kind]
     params = _object(raw.get("params", {}), "params", required, optional)
     for name, value in params.items():
-        # The shear amplitude may take either sign; BoundaryDistortion checks it.
+        # The shear amplitude may take either sign; shearing_map checks it.
         _number(value, _key("params", name), positive=name != "amplitude")
     if "lattices" in raw and lattice is not None:
         raise ScenarioError(

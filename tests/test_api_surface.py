@@ -9,6 +9,10 @@ preconditions of some checks.  Every ``def`` that an ``ast`` walk finds in the
 package must be entered at least once.  A function that no command
 reaches is either dead or serves only the tests: give it a CLI caller
 (a ``verify`` check, say) or delete it.
+
+The same rule holds for parameters, statically: a parameter with a default
+that no call in the package passes takes one value only, so it is a
+constant, not a parameter.
 """
 
 import ast
@@ -113,3 +117,89 @@ def test_every_function_is_reached_from_the_cli(tmp_path, monkeypatch):
 def test_the_walk_finds_nested_and_decorated_functions():
     names = set(defined_functions().values())
     assert {"cli.main", "qcmaps.GridMap.dt", "qcmaps._lift.lifted"} <= names
+
+
+def _calls(tree, classes: set[str]) -> list[tuple[str | None, str, float, set[str], bool]]:
+    """(class, callee name, positional count, keyword names, has a ** splat) of every call.
+
+    The class is set for a call written ``Class.name(...)`` with a class of the
+    package, and None otherwise.  A ``*`` splat counts as passing every position."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        owner = getattr(getattr(func, "value", None), "id", None)
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        positional = math.inf if starred else len(node.args)
+        keywords = {k.arg for k in node.keywords if k.arg is not None}
+        splat = any(k.arg is None for k in node.keywords)
+        out.append((owner if owner in classes else None, name, positional, keywords, splat))
+    return out
+
+
+def _defaulted(node, method: bool) -> list[tuple[str, int | None]]:
+    """(name, index among the arguments a caller writes) of each parameter with a default;
+    the index is None for a keyword-only one.  A method's self or cls is not written."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args]
+    static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+    skip = 1 if method and not static else 0
+    out = [
+        (a.arg, i - skip)
+        for i, a in enumerate(positional)
+        if i >= len(positional) - len(args.defaults)
+    ]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def unpassed_parameters() -> list[str]:
+    """``module.function(parameter)`` for each parameter with a default that no call
+    in the package passes.  Calls resolve by function name, and a call
+    ``Class.name(...)`` only to a method of that class."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+    classes = {c.name for t in trees.values() for c in ast.walk(t) if isinstance(c, ast.ClassDef)}
+    calls, params = [], []
+    for module, tree in trees.items():
+        calls += _calls(tree, classes)
+        owner = {
+            id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+        }
+        for name, node in _defs(tree):
+            for param, index in _defaulted(node, id(node) in owner):
+                params.append((f"{module}.{name}", owner.get(id(node)), node.name, param, index))
+    missed = []
+    for qualified, cls, short, param, index in params:
+        if qualified == "cli.main":
+            continue  # the entry point's argv is set by the interpreter, not by a call
+        if not any(
+            name == short
+            and call_cls in (None, cls)
+            and (splat or param in keywords or (index is not None and positional > index))
+            for call_cls, name, positional, keywords, splat in calls
+        ):
+            missed.append(f"{qualified}({param})")
+    return missed
+
+
+def test_every_defaulted_parameter_is_passed_by_a_call():
+    missed = unpassed_parameters()
+    assert not missed, f"parameters with a default that no call passes: {', '.join(missed)}"
+
+
+def test_the_parameter_walk_sees_methods_keywords_and_positions():
+    tree = ast.parse(
+        "class A:\n"
+        "    def m(self, x, y=1, *, z=2): pass\n"
+        "    @staticmethod\n"
+        "    def s(x=0): pass\n"
+        "A().m(0, 1)\n"
+        "A.s(z=3)\n"
+    )
+    cls = tree.body[0]
+    assert _defaulted(cls.body[0], method=True) == [("y", 1), ("z", None)]
+    assert _defaulted(cls.body[1], method=True) == [("x", 0)]
+    assert (None, "m", 2, set(), False) in _calls(tree, {"A"})
+    assert ("A", "s", 0, {"z"}, False) in _calls(tree, {"A"})

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from graftlab import (
-    BoundaryDistortion,
     NotSensePreservingError,
     beltrami_estimate,
     compose_maps,
@@ -127,11 +126,7 @@ def reference_abs_mu(w: np.ndarray, dt: float, dx: float, winding: int) -> np.nd
 
 
 def sin_shear(n: int, amplitude: float = 1.0 / 3.0) -> GridMap:
-    dist = BoundaryDistortion.from_function(
-        lambda x: x + amplitude * np.sin(2 * np.pi * x) / (2 * np.pi),
-        derivative=lambda x: 1.0 + amplitude * np.cos(2 * np.pi * x),
-    )
-    return shearing_map(2.0, dist, n_t=n, n_x=n).grid
+    return shearing_map(2.0, amplitude, n_t=n, n_x=n).grid
 
 
 def mirror_map(n: int) -> GridMap:

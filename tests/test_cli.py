@@ -252,6 +252,20 @@ class TestVerifyCommand:
         assert (default_radius, radius) == (1.0, 3.0)
         assert details["max"] > default["max"]
 
+    def test_shear_check_uses_the_echoed_c_shear(self, tmp_path, monkeypatch, capsys):
+        # log K of each shear lies above 0.01 (B - 1), so the linearized bound fails.
+        env_file = tmp_path / "constants.json"
+        env_file.write_text(json.dumps({"C_shear": 0.01}))
+        monkeypatch.setenv("GRAFTLAB_CONSTANTS", str(env_file))
+        code = main(["verify", "qcmaps", "--lattice", "33", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "out" / "verify_qcmaps.json").read_text())
+        assert report["constants"]["C_shear"] == 0.01
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["shear_numeric_below_analytic_bounds"]
+        assert failed[0]["margin"] < 0.0
+
     # The grafting and dynamics checks whose lengths start at l = 0.1, so that an
     # epsilon below 0.1 fails them, and only them, besides the comparison budget.
     SHORT_AT_ONE_TENTH = [
@@ -473,6 +487,22 @@ class TestQcCheckCommand:
         assert code == 0
         report = json.loads((tmp_path / "qc_report.json").read_text())
         assert report["series"][0]["bound_margin"] > 0.0
+
+    @pytest.mark.parametrize(
+        "amplitude, expected", [(-0.3, 0), (0.5, 2), (1.0, 2), (1.5, 2), (1e20, 2)]
+    )
+    def test_shear_amplitude_edges(self, tmp_path, capsys, amplitude, expected):
+        # B = 2 at |amplitude| = 0.5; from 1 on the distortion is not increasing.
+        path = tmp_path / "shear.json"
+        spec = {"kind": "shear", "params": {"a": 2.0, "amplitude": amplitude}, "lattices": [33]}
+        path.write_text(json.dumps(spec))
+        argv = ["qc-check", "--scenario", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv) == expected
+        err = capsys.readouterr().err
+        if expected == 0:
+            assert err == ""
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_precondition_violation_exit_2(self, tmp_path):
         spec = tmp_path / "shear.json"

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from graftlab import (
+    DEFAULT_CONSTANTS,
+    ComparisonBudget,
     Constants,
     GeometryError,
     ShortnessError,
@@ -12,7 +14,8 @@ from graftlab import (
     twist_amount_bound,
     untwist_chain,
 )
-from graftlab.dilatation import DilatationBudget, _untwist_bound_from_ratio_sq
+from graftlab.dilatation import _untwist_bound_from_ratio_sq
+from graftlab.grafting import bounding_annulus_moduli, single_curve_graft_bounds
 
 import oracles
 
@@ -53,10 +56,12 @@ class TestUntwistBound:
 
     def test_chain_reports_effective_constant(self):
         chain = untwist_chain(0.05, 2 * math.pi, t_radius=1.0)
-        assert chain.log_k_bound == pytest.approx(
+        grafted = single_curve_graft_bounds(0.05, 2 * math.pi).hi
+        moduli = bounding_annulus_moduli(grafted, 0.05**0.25)
+        assert _untwist_bound_from_ratio_sq(moduli.ratio**2) == pytest.approx(
             chain.effective_c * 0.05**0.125, rel=1e-14
         )
-        assert chain.mod_c1 > chain.mod_c2 > 0.0
+        assert moduli.mod_c1 > moduli.mod_c2 > 0.0
         # Effective constants stay bounded along the shrinking-length grid.
         effective = [untwist_chain(l, 2 * math.pi).effective_c for l in L_GRID[1:]]
         assert max(effective) < 10.0
@@ -82,8 +87,6 @@ class TestBilipschitzF:
 
     def test_shrinks_with_length(self):
         # Along the modelled chain the constant tends to 1 like l^{1/4}.
-        from graftlab.grafting import bounding_annulus_moduli, single_curve_graft_bounds
-
         t = 2 * math.pi
         excesses = []
         for l in L_GRID:
@@ -100,7 +103,7 @@ class TestBilipschitzF:
 class TestComparisonBudget:
     def test_entries_and_total(self):
         result = comparison_budget(0.05, 2 * math.pi)
-        assert [name for name, _ in result.budget.entries] == [
+        assert [name for name, _ in result.entries] == [
             "scaling",
             "shearing",
             "unit_twist",
@@ -108,15 +111,15 @@ class TestComparisonBudget:
             "untwist",
         ]
         assert result.total == pytest.approx(
-            sum(v for _, v in result.budget.entries), rel=1e-15
+            sum(v for _, v in result.entries), rel=1e-15
         )
         assert result.effective_c == pytest.approx(result.total / 0.05**0.125, rel=1e-14)
-        assert result.kappa_is_placeholder
+        assert DEFAULT_CONSTANTS.kappa_is_placeholder
 
     def test_every_entry_shrinks_with_length(self):
         coarse = comparison_budget(0.05, 2 * math.pi)
         fine = comparison_budget(0.0125, 2 * math.pi)
-        for (label, value), (_, value2) in zip(coarse.budget.entries, fine.budget.entries):
+        for (label, value), (_, value2) in zip(coarse.entries, fine.entries):
             assert value2 < value, label
 
     def test_total_decays_at_least_eighth_root(self):
@@ -138,4 +141,4 @@ class TestComparisonBudget:
 
     def test_budget_rejects_negative_entry(self):
         with pytest.raises(ValueError):
-            DilatationBudget(entries=(("bad", -0.1),))
+            ComparisonBudget(entries=(("bad", -0.1),), length=0.05, modulus_ratio=1.5)

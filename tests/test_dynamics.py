@@ -273,7 +273,6 @@ class TestEndpointDescriptor:
         desc = endpoint_descriptor(state, lam)
         assert len(desc.cusp_pairs) == 3
         assert desc.boundary_count == 6
-        assert desc.retained == {"d": LengthInterval(0.3, 0.4)}
 
 
 class TestEndpointCauchy:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from graftlab import (
-    BoundaryDistortion,
     GridError,
     GeometryError,
     beltrami_estimate,
@@ -24,14 +23,27 @@ TWIST_K_1_2 = 5.82842712474619            # 3 + 2 sqrt(2)
 TWIST_MU_1_2 = 0.7071067811865476         # 1/sqrt(2)
 
 
-IDENTITY = BoundaryDistortion.from_function(lambda x: x, derivative=np.ones_like)
+def reference_bilipschitz(amplitude: float) -> float:
+    """B of x + amplitude sin(2 pi x) / (2 pi), measured on 4096 points as the
+    shear's boundary distortion measured it before B had a closed form."""
 
+    def f(x):
+        return x + amplitude * np.sin(2.0 * np.pi * x) / (2.0 * np.pi)
 
-def sin_distortion(amplitude):
-    return BoundaryDistortion.from_function(
-        lambda x: x + amplitude * np.sin(2 * np.pi * x) / (2 * np.pi),
-        derivative=lambda x: 1.0 + amplitude * np.cos(2 * np.pi * x),
-    )
+    def derivative(x):
+        return 1.0 + amplitude * np.cos(2.0 * np.pi * x)
+
+    grid_size = 4096
+    x = np.arange(grid_size) / grid_size
+    endpoints = abs(float(f(0.0))) + abs(float(f(1.0)) - 1.0)
+    if endpoints > 1e-12:
+        raise GeometryError(f"distortion must fix 0 and 1, got deviation {endpoints:.3e}")
+    fp = np.asarray(derivative(x), dtype=float)
+    inf_fp = float(fp.min())
+    sup_fp = float(fp.max())
+    if not inf_fp > 0.0:
+        raise GeometryError(f"distortion is not increasing: inf f' = {inf_fp!r}")
+    return max(sup_fp, 1.0 / inf_fp)
 
 
 class TestScalingMap:
@@ -62,7 +74,7 @@ class TestTwistMap:
     def test_frozen_analytic_values(self):
         m = twist_map(1.0, 2.0, n_t=33, n_x=33)
         assert m.analytic_k == pytest.approx(TWIST_K_1_2, rel=1e-15)
-        assert m.analytic_abs_mu == pytest.approx(TWIST_MU_1_2, rel=1e-15)
+        assert beltrami_estimate(m.grid).sup_abs_mu == pytest.approx(TWIST_MU_1_2, rel=1e-15)
         assert TWIST_K_1_2 == pytest.approx(
             oracles.as_float(oracles.twist_dilatation(1, 2)), rel=1e-15
         )
@@ -81,12 +93,13 @@ class TestTwistMap:
         m = twist_map(1.0, 2.0, n_t=65, n_x=65)
         est = beltrami_estimate(m.grid)
         assert est.mu_spread <= 1e-10
-        assert est.sup_abs_mu == pytest.approx(m.analytic_abs_mu, rel=1e-12)
+        assert est.sup_abs_mu == pytest.approx(TWIST_MU_1_2, rel=1e-12)
 
 
 class TestShearingMap:
     def test_identity_distortion(self):
-        m = shearing_map(2.0, IDENTITY, n_t=33, n_x=33)
+        m = shearing_map(2.0, 0.0, n_t=33, n_x=33)
+        assert m.bilipschitz_constant == 1.0
         est = beltrami_estimate(m.grid)
         assert est.sup_k == pytest.approx(1.0, abs=1e-12)
 
@@ -99,37 +112,42 @@ class TestShearingMap:
         )
 
     def test_numeric_below_analytic_bound(self):
-        dist = sin_distortion(0.05)
-        assert dist.bilipschitz_constant == pytest.approx(1.0 / 0.95, rel=1e-12)
-        m = shearing_map(2.0, dist, n_t=65, n_x=65)
+        m = shearing_map(2.0, 0.05, n_t=65, n_x=65)
+        assert m.bilipschitz_constant == pytest.approx(1.0 / 0.95, rel=1e-12)
         est = beltrami_estimate(m.grid)
         assert est.sup_k < m.analytic_k
-        assert math.log(est.sup_k) < m.log_k_linear_bound
-
-    def test_measured_b_without_derivative(self):
-        amp = 0.2
-        dist = BoundaryDistortion.from_function(
-            lambda x: x + amp * np.sin(2 * np.pi * x) / (2 * np.pi)
-        )
-        assert dist.bilipschitz_constant == pytest.approx(1.0 / (1.0 - amp), rel=1e-6)
+        assert math.log(est.sup_k) < 2.0 * math.sqrt(2.0) * (m.bilipschitz_constant - 1.0)
 
     def test_preconditions(self):
         with pytest.raises(GeometryError):
-            shearing_map(1.0, IDENTITY)
-        wild = BoundaryDistortion(f=lambda x: x, bilipschitz_constant=2.0)
-        with pytest.raises(GeometryError):
-            shearing_map(2.0, wild)
+            shearing_map(1.0, 0.0)
+        with pytest.raises(GeometryError, match="B < 2, got 2.0"):
+            shearing_map(2.0, 0.5)
 
     def test_non_monotone_distortion_rejected(self):
-        with pytest.raises(GeometryError):
-            BoundaryDistortion.from_function(
-                lambda x: x + np.sin(2 * np.pi * x) / (2 * np.pi) * 1.2,
-                derivative=lambda x: 1.0 + 1.2 * np.cos(2 * np.pi * x),
-            )
+        with pytest.raises(GeometryError, match="B < 2, got inf"):
+            shearing_map(2.0, 1.2)
 
-    def test_endpoint_fixing_required(self):
-        with pytest.raises(GeometryError):
-            BoundaryDistortion.from_function(lambda x: x + 0.01)
+
+class TestShearBilipschitz:
+    """The closed-form B has the bits of the 4096-point measurement it replaced."""
+
+    def amplitudes(self) -> list[float]:
+        rng = np.random.default_rng(20081)
+        draws = rng.uniform(-0.4999, 0.4999, size=3000).tolist()
+        return [0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 0.05, 0.2, 1.0 / 3.0, 0.4999, *draws]
+
+    def test_same_bits_as_measured(self):
+        for amp in self.amplitudes():
+            got = shearing_map(2.0, amp, n_t=3, n_x=3).bilipschitz_constant
+            assert got.hex() == reference_bilipschitz(amp).hex(), amp
+
+    def test_rejected_where_measured_b_reaches_2(self):
+        rng = np.random.default_rng(20082)
+        for amp in [0.5, -0.5, 0.99, -0.99, *rng.uniform(0.5, 0.99, size=200).tolist()]:
+            assert reference_bilipschitz(amp) >= 2.0, amp
+            with pytest.raises(GeometryError):
+                shearing_map(2.0, amp, n_t=3, n_x=3)
 
 
 class TestGridMap:
@@ -159,7 +177,7 @@ class TestGridMap:
         # samples would add 4.0 MiB.
         tracemalloc.start()
         try:
-            grid = shearing_map(2.0, sin_distortion(0.05), n_t=513, n_x=513).grid
+            grid = shearing_map(2.0, 0.05, n_t=513, n_x=513).grid
             est = beltrami_estimate(grid)
             live = tracemalloc.get_traced_memory()[0]
         finally:
