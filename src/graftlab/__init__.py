@@ -55,20 +55,15 @@ from .grafting import (
     wolpert_ratio,
 )
 from .dynamics import (
-    AccumulationReport,
     CauchyReport,
-    CounterexampleReport,
-    EndpointDescriptor,
     GraftingTrajectory,
     LiftRadiusBound,
     TrajectoryMode,
     TubeReport,
-    accumulation_analysis,
     collapse_distance_bound,
-    counterexample_ratio,
+    counterexample_analysis,
     decay_factor,
     endpoint_cauchy_analysis,
-    endpoint_descriptor,
     geometric_convergence_threshold,
     holonomy_tube_radius,
     iterate_grafting,

@@ -116,56 +116,43 @@ def _cmd_simulate(args) -> int:
         "kappa_is_placeholder": constants.kappa_is_placeholder,
     }
 
-    if scenario.mode == "iterate":
-        traj = dynamics.iterate_grafting(scenario.state, scenario.lamination, scenario.steps)
-    elif scenario.mode == "ray":
+    if scenario.mode == "ray":
         traj = dynamics.ray_grafting(scenario.state, scenario.lamination, scenario.s_values)
         report["ray_reparametrization_slope_example"] = dynamics.ray_reparametrization(
             1, min(w for _, w in scenario.lamination.items()), 1.0
         )
-    elif scenario.mode == "counterexample":
+    else:
         traj = dynamics.iterate_grafting(scenario.state, scenario.lamination, scenario.steps)
-        items = scenario.lamination.items()
-        light = min(items, key=lambda kv: kv[1])[0]
-        heavy = max(items, key=lambda kv: kv[1])[0]
-        ratios = dynamics.certified_ratio_series(traj, heavy, light)
-        report["counterexample"] = {
-            "ratios": list(ratios),
-            "decreasing_from": dynamics.strict_decrease_index(ratios),
-            "heavy_curve": heavy,
-            "light_curve": light,
-            "weights": dict(scenario.lamination.weights),
-        }
+    if scenario.mode == "counterexample":
+        block = dynamics.counterexample_analysis(traj)
+        report["counterexample"] = {**block, "weights": dict(scenario.lamination.weights)}
+        ratios = block["ratios"]
         write_csv(out_dir / "ratios.csv", ["step", "ratio"], _steps(len(ratios)), np.array(ratios))
     elif scenario.mode == "accumulation":
-        cid, weight = scenario.lamination.items()[0]
-        l0 = scenario.state.lengths[cid].hi
-        acc = dynamics.accumulation_analysis(
-            l0, weight, constants.C, scenario.steps, epsilon=scenario.state.epsilon
-        )
-        traj = acc.trajectory
-        report["accumulation"] = {
-            "step_bounds": list(acc.step_bounds),
-            "consecutive_ratios": list(acc.consecutive_ratios),
-            "fitted_ratio": acc.fitted_ratio,
-            "slopes": list(acc.slopes),
-            "offsets": list(acc.offsets),
-            "tail_sum": acc.tail_sum,
-            "tail_closed_form": acc.tail_closed_form,
-            "notes": list(acc.notes),
-        }
-    else:  # "cauchy", the last mode the scenario loader admits
-        traj = dynamics.iterate_grafting(scenario.state, scenario.lamination, scenario.steps)
         cauchy = dynamics.endpoint_cauchy_analysis(traj, constants.C)
-        descriptor = dynamics.endpoint_descriptor(scenario.state, scenario.lamination)
+        ((_, t),) = scenario.lamination.items()  # the loader admits one curve here
+        ratios = cauchy.consecutive_ratios
+        report["accumulation"] = {
+            "step_bounds": list(cauchy.step_bounds),
+            "consecutive_ratios": list(ratios),
+            "fitted_ratio": ratios[-1] if ratios else cauchy.expected_ratio,
+            "slopes": [(math.pi + t) / math.pi] * scenario.steps,
+            "offsets": [t] * scenario.steps,
+            "tail_sum": cauchy.tail_sums[0],
+            "tail_closed_form": cauchy.tail_closed_forms[0],
+            "notes": list(dynamics.ACCUMULATION_NOTES),
+        }
+    elif scenario.mode == "cauchy":
+        cauchy = dynamics.endpoint_cauchy_analysis(traj, constants.C)
+        support = sorted(scenario.lamination.support)
         report["cauchy"] = {
             "step_bounds": list(cauchy.step_bounds),
             "consecutive_ratios": list(cauchy.consecutive_ratios),
             "expected_ratio": cauchy.expected_ratio,
             "tail_sums": list(cauchy.tail_sums),
             "tail_closed_forms": list(cauchy.tail_closed_forms),
-            "cusp_pairs": list(descriptor.cusp_pairs),
-            "boundary_count": descriptor.boundary_count,
+            "cusp_pairs": support,
+            "boundary_count": 2 * len(support),
         }
 
     report["final_lengths"] = {
@@ -195,7 +182,6 @@ def _cmd_qc_check(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     series = []
     errors = []
-    analytic_k = None
     for n in spec.lattices:
         built = _build_map(spec, n)
         est = beltrami_estimate(built.grid)
@@ -225,13 +211,10 @@ def _cmd_qc_check(args) -> int:
         "lattices": spec.lattices,
         "series": series,
     }
-    if len(errors) >= 2 and analytic_k is not None:
-        report["observed_orders"] = [
-            None if math.isinf(o) else o for o in convergence_order(errors, analytic_k)
-        ]
-        report["exact_at_resolution"] = all(
-            o is None for o in report["observed_orders"]
-        )
+    if len(errors) >= 2:
+        orders = convergence_order(errors, analytic_k)
+        report["observed_orders"] = orders  # an infinite order is written as null
+        report["exact_at_resolution"] = all(math.isinf(o) for o in orders)
     write_json(out_dir / "qc_report.json", report)
     print(f"wrote {out_dir / 'qc_report.json'}")
     return 0

@@ -1,9 +1,12 @@
 """Iterated grafting trajectories, tube radii and convergence analyses.
 
 Everything here is interval bookkeeping on top of the one-step propagation
-rules: trajectories apply them n times, the tube/accumulation reports add
-up the resulting distance bounds, and the endpoint analyses certify the
-geometric-series structure of those bounds.
+rules: trajectories apply them n times, the tube and lift radii add up
+the resulting distance bounds, and two analyses read one trajectory: the
+endpoint analysis certifies the geometric-series structure of those
+bounds (simulate's accumulation block is read from it too), and the
+counterexample analysis follows the length quotient of two unequally
+weighted curves.
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ from .config import DEFAULT_CONSTANTS
 from .errors import UnderflowError
 from .hypgeom import collar_angle
 from .grafting import (
-    LengthInterval,
     LengthState,
-    Role,
     WeightedMulticurve,
     decay_factor,
     graft_length_bounds,
@@ -36,27 +37,18 @@ __all__ = [
     "LiftRadiusBound",
     "iterated_lift_radius",
     "collapse_distance_bound",
-    "AccumulationReport",
-    "accumulation_analysis",
-    "CounterexampleReport",
-    "certified_ratio_series",
-    "counterexample_ratio",
-    "strict_decrease_index",
-    "EndpointDescriptor",
-    "endpoint_descriptor",
+    "counterexample_analysis",
     "CauchyReport",
     "endpoint_cauchy_analysis",
     "geometric_convergence_threshold",
 ]
 
-# Convention notes carried into reports so the bounds stay interpretable.
-ACCUMULATION_OFFSET_NOTE = (
+# Convention notes carried into accumulation reports so the bounds stay interpretable.
+ACCUMULATION_NOTES = (
     "affine reparametrization offset equals the full per-step grafting weight t, "
-    "not the bare angle 2*pi"
-)
-COLLAPSE_SIGN_NOTE = (
+    "not the bare angle 2*pi",
     "collapse distance uses (1/2) log((2 theta + s)/(2 theta)), the orientation "
-    "that yields a nonnegative distance"
+    "that yields a nonnegative distance",
 )
 
 
@@ -220,131 +212,32 @@ def collapse_distance_bound(l: float, s: float) -> float:
     return 0.5 * math.log1p(s / (2.0 * collar_angle(l)))
 
 
-def _single_curve_state(l0: float, epsilon: float) -> tuple[LengthState, str]:
-    cid = "gamma"
-    state = LengthState(
-        roles={cid: Role.SUPPORT},
-        lengths={cid: LengthInterval.point(l0)},
-        epsilon=epsilon,
-    )
-    return state, cid
+def counterexample_analysis(trajectory: GraftingTrajectory) -> dict:
+    """Certified divergence of the length quotient for unequal weights.
 
-
-@dataclass(frozen=True)
-class AccumulationReport:
-    """Exponential accumulation of grafting rays through iterated lifts."""
-
-    step_bounds: tuple[float, ...]       # step_bounds[k] bounds d(c_{k+1}, c_k o affine)
-    consecutive_ratios: tuple[float, ...]
-    fitted_ratio: float
-    slopes: tuple[float, ...]            # a_{n} = (pi + t)/pi per step
-    offsets: tuple[float, ...]           # additive offset per step (the weight)
-    tail_sum: float
-    tail_closed_form: float
-    trajectory: GraftingTrajectory
-    notes: tuple[str, ...]
-
-
-def accumulation_analysis(
-    l0: float,
-    t: float,
-    c: float,
-    n_steps: int,
-    epsilon: float = DEFAULT_CONSTANTS.epsilon,
-) -> AccumulationReport:
-    """Per-step distance bounds C * l_{k}^{1/8} for rays through iterated lifts.
-
-    The bounds are the endpoint Cauchy bounds of the one-curve trajectory
-    and decay geometrically with ratio decay_factor(t)^{1/8}; the affine
-    reparametrization per step has slope (pi + t)/pi and offset t.
+    ``trajectory`` iterates a two-curve lamination of unequal weights.
+    Returns ``ratios``, the per-step certified quotient hi(heavy) /
+    lo(light), which for pi * light + 2 pi * heavy eventually decreases
+    strictly toward 0 (per-step factor tending to (1/3)/(1/2) = 2/3), so the
+    grafting sequence leaves every tube around the grafting ray;
+    ``decreasing_from``, the first index from which the ratios decrease
+    strictly to the end; and the ids ``heavy_curve`` and ``light_curve``.
     """
-    if n_steps < 1:
-        raise ValueError(f"need at least one step, got {n_steps}")
-    state, cid = _single_curve_state(l0, epsilon)
-    traj = iterate_grafting(state, WeightedMulticurve({cid: t}), n_steps)
-    cauchy = endpoint_cauchy_analysis(traj, c)
-    ratios = cauchy.consecutive_ratios
-    slope = (math.pi + t) / math.pi
-    return AccumulationReport(
-        step_bounds=cauchy.step_bounds,
-        consecutive_ratios=ratios,
-        fitted_ratio=ratios[-1] if ratios else cauchy.expected_ratio,
-        slopes=tuple(slope for _ in range(n_steps)),
-        offsets=tuple(t for _ in range(n_steps)),
-        tail_sum=cauchy.tail_sums[0],
-        tail_closed_form=cauchy.tail_closed_forms[0],
-        trajectory=traj,
-        notes=(ACCUMULATION_OFFSET_NOTE, COLLAPSE_SIGN_NOTE),
+    items = trajectory.lamination.items()
+    light = min(items, key=lambda kv: kv[1])[0]
+    heavy = max(items, key=lambda kv: kv[1])[0]
+    ratios = [st.lengths[heavy].hi / st.lengths[light].lo for st in trajectory.steps]
+    decreasing_from = next(
+        k
+        for k in range(len(ratios))
+        if all(b < a for a, b in zip(ratios[k:], ratios[k + 1 :]))
     )
-
-
-def certified_ratio_series(
-    trajectory: GraftingTrajectory, heavy: str, light: str
-) -> tuple[float, ...]:
-    """Per-step certified quotient hi(heavy) / lo(light) along a trajectory."""
-    return tuple(
-        st.lengths[heavy].hi / st.lengths[light].lo for st in trajectory.steps
-    )
-
-
-def strict_decrease_index(values) -> int:
-    """First index from which the sequence decreases strictly to the end."""
-    values = list(values)
-    for k in range(len(values) - 1):
-        if all(b < a for a, b in zip(values[k:], values[k + 1 :])):
-            return k
-    return len(values) - 1
-
-
-@dataclass(frozen=True)
-class CounterexampleReport:
-    """Certified divergence of the length quotient for unequal weights."""
-
-    ratios: tuple[float, ...]            # hi(gamma2)/lo(gamma1) per step
-    decreasing_from: int                 # first index with strict decrease onward
-
-
-def counterexample_ratio(
-    l0: float, n_steps: int, epsilon: float = DEFAULT_CONSTANTS.epsilon
-) -> CounterexampleReport:
-    """Iterate the two-curve lamination pi*gamma1 + 2*pi*gamma2 from equal lengths.
-
-    Returns the certified per-step quotient hi(gamma2) / lo(gamma1), which
-    eventually decreases strictly toward 0 (per-step factor tending to
-    (1/3)/(1/2) = 2/3): the grafting sequence leaves every tube around the
-    grafting ray.
-    """
-    if n_steps < 1:
-        raise ValueError(f"need at least one step, got {n_steps}")
-    roles = {"gamma1": Role.SUPPORT, "gamma2": Role.SUPPORT}
-    lengths = {
-        "gamma1": LengthInterval.point(l0),
-        "gamma2": LengthInterval.point(l0),
+    return {
+        "ratios": ratios,
+        "decreasing_from": decreasing_from,
+        "heavy_curve": heavy,
+        "light_curve": light,
     }
-    state = LengthState(roles=roles, lengths=lengths, epsilon=epsilon)
-    lam = WeightedMulticurve({"gamma1": math.pi, "gamma2": 2.0 * math.pi})
-    traj = iterate_grafting(state, lam, n_steps)
-    ratios = certified_ratio_series(traj, "gamma2", "gamma1")
-    return CounterexampleReport(ratios=ratios, decreasing_from=strict_decrease_index(ratios))
-
-
-@dataclass(frozen=True)
-class EndpointDescriptor:
-    """Data of the grafting-ray endpoint: cut at the support, cusp pair per curve."""
-
-    cusp_pairs: tuple[str, ...]          # one entry per support curve
-
-    @property
-    def boundary_count(self) -> int:
-        return 2 * len(self.cusp_pairs)
-
-
-def endpoint_descriptor(state: LengthState, lam: WeightedMulticurve) -> EndpointDescriptor:
-    """Cut along the lamination support and attach punctured disks (as data)."""
-    for cid in lam.support:
-        if cid not in state.lengths:
-            raise ValueError(f"lamination references untracked curve {cid!r}")
-    return EndpointDescriptor(cusp_pairs=tuple(sorted(lam.support)))
 
 
 @dataclass(frozen=True)

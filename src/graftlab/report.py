@@ -4,7 +4,8 @@ Reports must be byte-identical across runs of the same inputs and version,
 so: dictionary keys are emitted sorted, every float in JSON and CSV is
 written as format_float writes it (17 significant digits, round-trip exact
 for binary64), and nothing time-dependent enters the files (wall-clock
-timings go to the console only).
+timings go to the console only).  JSON is strict RFC 8259: a NaN or an
+infinity is written as null there, and as NaN or [-]Infinity in CSV cells.
 
 csv_lines is the only CSV writer.  A table is one equal-length 1-D column
 per header field: float64 values, or cells already written as "S" bytes
@@ -124,7 +125,7 @@ def _render(obj, level: int) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return format_float(obj)
+        return format_float(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, dict):
         if not obj:
             return "{}"

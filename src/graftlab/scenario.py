@@ -16,9 +16,10 @@ parameters ``a``, ``k`` and ``b`` must be > 0, and lengths at least the
 smallest normal float64, below which they have lost relative precision.
 ``steps`` and the number of ``s_values`` are at most MAX_STEPS, each
 ``s_values`` entry times every lamination weight is a positive finite
-float64, lattices lie in [MIN_LATTICE, MAX_LATTICE], curve ids hold no
-",", '"' or control character (below U+0020, or U+007F), since they are
-written into CSV cells as they are, and unknown keys are errors.
+float64, ``lattices`` is a non-empty list of values in [MIN_LATTICE,
+MAX_LATTICE], a counterexample's two lamination weights differ, curve ids
+hold no ",", '"' or control character (below U+0020, or U+007F), since
+they are written into CSV cells as they are, and unknown keys are errors.
 """
 
 from __future__ import annotations
@@ -259,6 +260,8 @@ def load_scenario(path) -> Scenario:
         support = [cid for cid, r in roles.items() if r is Role.SUPPORT]
         if len(support) != 2:
             raise ScenarioError("mode 'counterexample' needs exactly two support curves")
+        if len(set(weights.values())) != 2:
+            raise ScenarioError("mode 'counterexample' needs two unequal lamination weights")
     if mode == "accumulation" and len(weights) != 1:
         raise ScenarioError("mode 'accumulation' needs a single-curve lamination")
 
@@ -293,7 +296,7 @@ def load_map_spec(path, lattice: int | None = None) -> MapSpec:
             f"the map spec lists lattices and --lattice {lattice} was given; give only one of them"
         )
     default = DEFAULT_LATTICE if lattice is None else lattice
-    lattices = _list(raw.get("lattices", [default]), "lattices")
+    lattices = _list(raw.get("lattices", [default]), "lattices", min_items=1)
     for i, n in enumerate(lattices):
         check_lattice(n, f"lattices[{i}]")
     return MapSpec(kind=kind, params=params, lattices=lattices)

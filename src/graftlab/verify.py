@@ -498,23 +498,21 @@ def suite_dynamics(lattice: int, rng, tolerances, constants: Constants) -> list[
     )
 
     name = "counterexample_diverges_control_stays"
+    pair = grafting.LengthState(
+        roles={"g1": grafting.Role.SUPPORT, "g2": grafting.Role.SUPPORT},
+        lengths={cid: grafting.LengthInterval.point(0.05) for cid in ("g1", "g2")},
+        epsilon=constants.epsilon,
+    )
     try:
-        report = dynamics.counterexample_ratio(0.05, 14, epsilon=constants.epsilon)
-        control_state = grafting.LengthState(
-            roles={"g1": grafting.Role.SUPPORT, "g2": grafting.Role.SUPPORT},
-            lengths={
-                "g1": grafting.LengthInterval.point(0.05),
-                "g2": grafting.LengthInterval.point(0.05),
-            },
-            epsilon=constants.epsilon,
-        )
-        control_lam = grafting.WeightedMulticurve({"g1": t, "g2": t})
-        control = dynamics.iterate_grafting(control_state, control_lam, 14)
+        unequal = grafting.WeightedMulticurve({"g1": math.pi, "g2": t})
+        report = dynamics.counterexample_analysis(dynamics.iterate_grafting(pair, unequal, 14))
+        equal = grafting.WeightedMulticurve({"g1": t, "g2": t})
+        control = dynamics.iterate_grafting(pair, equal, 14)
     except PRECONDITION_ERRORS as exc:
         out += _unmet(exc, name)
     else:
-        ratios = report.ratios
-        ok = report.decreasing_from <= 2 and min(ratios) < 0.05
+        ratios = report["ratios"]
+        ok = report["decreasing_from"] <= 2 and min(ratios) < 0.05
         ok &= all(
             st.lengths["g2"].hi == st.lengths["g1"].hi for st in control.steps
         )
@@ -522,7 +520,7 @@ def suite_dynamics(lattice: int, rng, tolerances, constants: Constants) -> list[
             CheckResult(
                 name,
                 ok,
-                details={"final_ratio": ratios[-1], "decreasing_from": report.decreasing_from},
+                details={"final_ratio": ratios[-1], "decreasing_from": report["decreasing_from"]},
             )
         )
 

@@ -18,7 +18,7 @@ from graftlab import (
     beltrami_estimate,
     collar_containment_check,
     comparison_budget,
-    counterexample_ratio,
+    counterexample_analysis,
     decay_factor,
     endpoint_cauchy_analysis,
     graft_factors,
@@ -184,11 +184,7 @@ def test_criterion_6_iteration_decay():
 
 
 def test_criterion_7_counterexample_divergence():
-    report = counterexample_ratio(0.05, 12)
-    ratios = report.ratios
-    strictly_decreasing = all(b < a for a, b in zip(ratios[2:], ratios[3:]))
-    below = ratios[12] < 0.05
-    control_state = LengthState(
+    pair_state = LengthState(
         roles={"g1": Role.SUPPORT, "g2": Role.SUPPORT},
         lengths={
             "g1": LengthInterval.point(0.05),
@@ -196,8 +192,12 @@ def test_criterion_7_counterexample_divergence():
         },
         epsilon=0.1,
     )
+    unequal = WeightedMulticurve({"g1": math.pi, "g2": TWO_PI})
+    ratios = counterexample_analysis(iterate_grafting(pair_state, unequal, 12))["ratios"]
+    strictly_decreasing = all(b < a for a, b in zip(ratios[2:], ratios[3:]))
+    below = ratios[12] < 0.05
     control = iterate_grafting(
-        control_state, WeightedMulticurve({"g1": TWO_PI, "g2": TWO_PI}), 12
+        pair_state, WeightedMulticurve({"g1": TWO_PI, "g2": TWO_PI}), 12
     )
     control_ok = all(
         st.lengths["g2"].hi == st.lengths["g1"].hi for st in control.steps

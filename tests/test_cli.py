@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from graftlab.beltrami import MAX_LATTICE, MIN_LATTICE
 from graftlab.cli import main
 from graftlab.errors import ScenarioError
+from graftlab.grafting import graft_factors
 from graftlab.scenario import MAX_STEPS, load_map_spec, load_scenario, resolve_constants
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -154,6 +155,18 @@ class TestInputContract:
                 )
                 for cid in ["g,h", 'g"', "g\nh", "g\r", "\tg", "g\x00", "g\x1f", "g\x7f"]
             ],
+            # Appended last so that the ids of the cases above keep their numbers.
+            ("qc-check", {"lattices": []}, "lattices"),
+            (
+                "simulate",
+                {
+                    "curves": [{"id": c, "role": "support"} for c in "ab"],
+                    "lengths": {"a": [0.05, 0.05], "b": [0.05, 0.05]},
+                    "lamination": {"a": 2 * math.pi, "b": 2 * math.pi},
+                    "mode": "counterexample",
+                },
+                "unequal lamination weights",
+            ),
         ],
     )
     def test_cli_names_the_field_in_one_line(self, tmp_path, capsys, command, change, field):
@@ -391,6 +404,27 @@ class TestSimulateCommand:
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
 
+    def test_every_mode_grafts_the_scenario_curves(self, tmp_path):
+        scenario = {
+            "curves": [{"id": "g", "role": "support"}, {"id": "d", "role": "disjoint"}],
+            "lengths": {"g": [0.05, 0.1], "d": [0.02, 0.03]},
+            "lamination": {"g": 2 * math.pi},
+            "steps": 3,
+        }
+        tables = set()
+        for mode in ("iterate", "cauchy", "accumulation"):
+            path = tmp_path / f"{mode}.json"
+            path.write_text(json.dumps(dict(scenario, mode=mode)))
+            out = tmp_path / mode
+            assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+            tables.add((out / "trajectory.csv").read_bytes())
+            report = json.loads((out / "report.json").read_text())
+            assert set(report["final_lengths"]) == {"d", "g"}
+            step_1_g = (out / "trajectory.csv").read_text().splitlines()[4].split(",")
+            assert step_1_g[:2] == ["1", "g"]
+            assert float(step_1_g[2]) == graft_factors(0.1, 2 * math.pi).lower * 0.05
+        assert len(tables) == 1
+
     def test_ray_mode(self, tmp_path):
         path = write_scenario(
             tmp_path, mode="ray", steps=0, s_values=[0.5, 1.0, 2.0]
@@ -565,6 +599,36 @@ class TestQcCheckCommand:
         assert (
             main(["qc-check", "--scenario", str(spec), "--out", str(tmp_path)]) == 2
         )
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+class TestStrictJson:
+    """Every JSON report loads under a parse_constant that rejects NaN and Infinity."""
+
+    def test_reports_hold_no_bare_constants(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GRAFTLAB_CONSTANTS", raising=False)
+        # At amplitude 0.46, B = 1 / 0.54 < 2 but the closed-form bound on K is infinite.
+        shear = tmp_path / "shear.json"
+        shear.write_text(json.dumps({"kind": "shear", "params": {"a": 2.0, "amplitude": 0.46}}))
+        runs = [
+            (["verify", "all", "--lattice", "33"], "verify_all.json"),
+            (["qc-check", "--scenario", str(shear), "--lattice", "33"], "qc_report.json"),
+        ]
+        for path in sorted(SCENARIOS.glob("*.json")):
+            if "kind" in json.loads(path.read_text()):
+                runs.append((["qc-check", "--scenario", str(path)], "qc_report.json"))
+            else:
+                runs.append((["simulate", "--scenario", str(path)], "report.json"))
+        docs = []
+        for i, (argv, report) in enumerate(runs):
+            out = tmp_path / f"out{i}"
+            assert main([*argv, "--out", str(out)]) == 0
+            docs.append(json.loads((out / report).read_text(), parse_constant=reject_constant))
+        assert docs[1]["series"][0]["analytic_k"] is None
+        assert docs[1]["series"][0]["bound_margin"] is None
 
 
 def sha256(path: Path) -> str:

@@ -1,4 +1,6 @@
+import json
 import math
+from itertools import count
 
 import numpy as np
 import pytest
@@ -10,12 +12,10 @@ from graftlab import (
     ShortnessError,
     TrajectoryMode,
     WeightedMulticurve,
-    accumulation_analysis,
     collapse_distance_bound,
-    counterexample_ratio,
+    counterexample_analysis,
     decay_factor,
     endpoint_cauchy_analysis,
-    endpoint_descriptor,
     geometric_convergence_threshold,
     holonomy_tube_radius,
     iterate_grafting,
@@ -23,6 +23,7 @@ from graftlab import (
     ray_grafting,
     ray_reparametrization,
 )
+from graftlab.cli import main
 from graftlab.grafting import graft_factors
 
 import oracles
@@ -193,86 +194,118 @@ class TestCollapseDistance:
         assert all(b > a for a, b in zip(in_l, in_l[1:]))
 
 
+@pytest.fixture
+def run(tmp_path, monkeypatch):
+    """``run(scenario)`` is the report.json of ``graftlab simulate`` on ``scenario``."""
+    monkeypatch.delenv("GRAFTLAB_CONSTANTS", raising=False)  # C = 1.0
+    runs = count()
+
+    def simulate(scenario) -> dict:
+        n = next(runs)
+        path, out = tmp_path / f"scenario{n}.json", tmp_path / f"out{n}"
+        path.write_text(json.dumps(scenario))
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+        return json.loads((out / "report.json").read_text())
+
+    return simulate
+
+
+def one_curve(mode, steps, l=0.1):
+    return {
+        "curves": [{"id": "g", "role": "support"}],
+        "lengths": {"g": [l, l]},
+        "lamination": {"g": TWO_PI},
+        "mode": mode,
+        "steps": steps,
+    }
+
+
 class TestAccumulation:
-    def test_bounds_follow_trajectory(self):
-        report = accumulation_analysis(0.1, TWO_PI, 1.0, 10)
-        for n, bound in enumerate(report.step_bounds):
+    """The accumulation block of ``simulate``, read off the scenario's own trajectory."""
+
+    def test_bounds_follow_trajectory(self, run):
+        report = run(one_curve("accumulation", 10))["accumulation"]
+        for n, bound in enumerate(report["step_bounds"]):
             assert bound == pytest.approx((0.1 * 3.0**-n) ** 0.125, rel=1e-12)
 
-    def test_consecutive_ratio_is_eighth_root_of_decay(self):
-        report = accumulation_analysis(0.1, TWO_PI, 1.0, 10)
-        for r in report.consecutive_ratios:
+    def test_consecutive_ratio_is_eighth_root_of_decay(self, run):
+        report = run(one_curve("accumulation", 10))["accumulation"]
+        for r in report["consecutive_ratios"]:
             assert r == pytest.approx(LIFT_Q_2PI, rel=1e-12)
 
-    def test_slopes_exceed_one(self):
-        report = accumulation_analysis(0.1, TWO_PI, 1.0, 5)
-        assert all(a == pytest.approx(3.0, rel=1e-15) for a in report.slopes)
-        assert all(o == TWO_PI for o in report.offsets)
+    def test_slopes_exceed_one(self, run):
+        report = run(one_curve("accumulation", 5))["accumulation"]
+        assert all(a == pytest.approx(3.0, rel=1e-15) for a in report["slopes"])
+        assert all(o == TWO_PI for o in report["offsets"])
 
-    def test_tail_matches_closed_form(self):
-        report = accumulation_analysis(0.1, TWO_PI, 1.0, 20)
-        assert report.tail_sum == pytest.approx(report.tail_closed_form, rel=1e-12)
+    def test_tail_matches_closed_form(self, run):
+        report = run(one_curve("accumulation", 20))["accumulation"]
+        assert report["tail_sum"] == pytest.approx(report["tail_closed_form"], rel=1e-12)
 
-    def test_small_start_shrinks_bounds(self):
-        big = accumulation_analysis(0.05, TWO_PI, 1.0, 5)
-        small = accumulation_analysis(0.005, TWO_PI, 1.0, 5)
-        assert all(s < b for s, b in zip(small.step_bounds, big.step_bounds))
+    def test_small_start_shrinks_bounds(self, run):
+        big = run(one_curve("accumulation", 5, l=0.05))["accumulation"]
+        small = run(one_curve("accumulation", 5, l=0.005))["accumulation"]
+        assert all(s < b for s, b in zip(small["step_bounds"], big["step_bounds"]))
+
+
+def pair_state(l):
+    return LengthState(
+        roles={"g1": Role.SUPPORT, "g2": Role.SUPPORT},
+        lengths={"g1": LengthInterval.point(l), "g2": LengthInterval.point(l)},
+    )
+
+
+def counterexample(l0, n_steps):
+    """The lamination pi * g1 + 2 pi * g2 iterated n_steps times from equal lengths l0."""
+    lam = WeightedMulticurve({"g1": math.pi, "g2": TWO_PI})
+    return counterexample_analysis(iterate_grafting(pair_state(l0), lam, n_steps))
 
 
 class TestCounterexample:
     def test_starts_at_one(self):
-        report = counterexample_ratio(0.05, 5)
-        assert report.ratios[0] == 1.0
+        report = counterexample(0.05, 5)
+        assert report["ratios"][0] == 1.0
+        assert (report["heavy_curve"], report["light_curve"]) == ("g2", "g1")
 
     def test_asymptotic_factor_two_thirds(self):
-        report = counterexample_ratio(0.01, 12)
-        factors = [b / a for a, b in zip(report.ratios, report.ratios[1:])]
+        ratios = counterexample(0.01, 12)["ratios"]
+        factors = [b / a for a, b in zip(ratios, ratios[1:])]
         assert factors[-1] == pytest.approx(2.0 / 3.0, abs=0.01)
 
     def test_certified_divergence_within_twelve_steps(self):
-        report = counterexample_ratio(0.05, 12)
-        assert report.decreasing_from <= 2
-        assert min(report.ratios) < 0.05
+        report = counterexample(0.05, 12)
+        assert report["decreasing_from"] <= 2
+        assert min(report["ratios"]) < 0.05
 
     def test_equal_weights_control_stays_at_one(self):
-        state = LengthState(
-            roles={"g1": Role.SUPPORT, "g2": Role.SUPPORT},
-            lengths={
-                "g1": LengthInterval.point(0.05),
-                "g2": LengthInterval.point(0.05),
-            },
-        )
         lam = WeightedMulticurve({"g1": TWO_PI, "g2": TWO_PI})
-        traj = iterate_grafting(state, lam, 12)
+        traj = iterate_grafting(pair_state(0.05), lam, 12)
         for step in traj.steps:
             assert step.lengths["g2"].hi == step.lengths["g1"].hi
 
 
 class TestEndpointDescriptor:
-    def test_single_support_curve(self):
-        desc = endpoint_descriptor(single_state(), WeightedMulticurve({"g": 1.0}))
-        assert desc.cusp_pairs == ("g",)
-        assert desc.boundary_count == 2
+    """The cusp pairs and boundary count of the cauchy block of ``simulate``."""
 
-    def test_three_curves(self):
-        state = LengthState(
-            roles={
-                "a": Role.SUPPORT,
-                "b": Role.SUPPORT,
-                "c": Role.SUPPORT,
-                "d": Role.DISJOINT,
-            },
-            lengths={
-                "a": LengthInterval.point(0.1),
-                "b": LengthInterval.point(0.1),
-                "c": LengthInterval.point(0.1),
-                "d": LengthInterval(0.3, 0.4),
-            },
-        )
-        lam = WeightedMulticurve({"a": 1.0, "b": 1.0, "c": 1.0})
-        desc = endpoint_descriptor(state, lam)
-        assert len(desc.cusp_pairs) == 3
-        assert desc.boundary_count == 6
+    def test_single_support_curve(self, run):
+        scenario = dict(one_curve("cauchy", 1), lamination={"g": 1.0})
+        report = run(scenario)["cauchy"]
+        assert report["cusp_pairs"] == ["g"]
+        assert report["boundary_count"] == 2
+
+    def test_three_curves(self, run):
+        roles = {"a": "support", "b": "support", "c": "support", "d": "disjoint"}
+        scenario = {
+            "curves": [{"id": cid, "role": role} for cid, role in roles.items()],
+            "lengths": {"a": [0.1, 0.1], "b": [0.1, 0.1], "c": [0.1, 0.1], "d": [0.3, 0.4]},
+            "lamination": {"a": 1.0, "b": 1.0, "c": 1.0},
+            "mode": "cauchy",
+            "steps": 1,
+            "epsilon": 0.5,  # so that the disjoint curve d is short and the step runs
+        }
+        report = run(scenario)["cauchy"]
+        assert len(report["cusp_pairs"]) == 3
+        assert report["boundary_count"] == 6
 
 
 class TestEndpointCauchy:
