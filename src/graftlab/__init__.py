@@ -42,11 +42,11 @@ from .dilatation import (
 from .grafting import (
     LengthInterval,
     LengthState,
-    Role,
     WeightedMulticurve,
     bounding_annulus_moduli,
     bounding_radius,
     collar_containment_check,
+    decay_factor,
     graft_factors,
     graft_length_bounds,
     single_curve_graft_bounds,
@@ -58,11 +58,9 @@ from .dynamics import (
     CauchyReport,
     GraftingTrajectory,
     LiftRadiusBound,
-    TrajectoryMode,
     TubeReport,
     collapse_distance_bound,
     counterexample_analysis,
-    decay_factor,
     endpoint_cauchy_analysis,
     geometric_convergence_threshold,
     holonomy_tube_radius,

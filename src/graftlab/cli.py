@@ -88,7 +88,7 @@ def _trajectory_columns(traj) -> list[np.ndarray]:
     lo = np.array([traj.lo_series(cid) for cid in ids]).T
     hi = np.array([traj.hi_series(cid) for cid in ids]).T
     factor = np.ones_like(hi)
-    factor[1:] = hi[1:] / (hi[:1] if traj.mode is dynamics.TrajectoryMode.RAY else hi[:-1])
+    factor[1:] = hi[1:] / (hi[:1] if traj.s_values else hi[:-1])
     step = np.repeat(_steps(len(traj.steps)), len(ids))
     curve = np.tile(np.array([cid.encode() for cid in ids]), len(traj.steps))
     return [step, curve, lo.ravel(), hi.ravel(), factor.ravel()]

@@ -22,7 +22,6 @@ from .qcmaps import twist_dilatation_excess
 
 __all__ = [
     "twist_amount_bound",
-    "UntwistChain",
     "untwist_chain",
     "bilipschitz_F_bound",
     "ComparisonBudget",
@@ -57,26 +56,17 @@ def _untwist_bound_from_ratio_sq(l_ratio_sq: float) -> float:
     return twist_dilatation_excess(4.0 / (l_ratio_sq - 1.0))
 
 
-@dataclass(frozen=True)
-class UntwistChain:
-    """Untwist bound driven by a length and the model radius R = T * l^{1/4}."""
-
-    effective_c: float      # the log K bound / l^{1/8}
-
-
-def untwist_chain(
-    l: float, t: float, t_radius: float = DEFAULT_CONSTANTS.T_radius
-) -> UntwistChain:
+def untwist_chain(l: float, t: float, t_radius: float = DEFAULT_CONSTANTS.T_radius) -> float:
     """Chain the untwist bound down to a curve length.
 
     Uses the model radius R = t_radius * l^{1/4}, the certified upper bound
     l' = pi/(pi + t) * l for the grafted geodesic length, and the annulus
-    moduli (theta(l') +- psi(R)) / l'.  Reports the bound in the form
-    (effective constant) * l^{1/8}.
+    moduli (theta(l') +- psi(R)) / l'.  Returns the effective constant:
+    the log K bound divided by l^{1/8}.
     """
     interval = single_curve_graft_bounds(l, t)
     moduli = bounding_annulus_moduli(interval.hi, t_radius * l**0.25)
-    return UntwistChain(effective_c=_untwist_bound_from_ratio_sq(moduli.ratio**2) / l**0.125)
+    return _untwist_bound_from_ratio_sq(moduli.ratio**2) / l**0.125
 
 
 FCase = Literal["D_is_B", "D_in_C"]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .config import DEFAULT_CONSTANTS
 from .errors import UnderflowError
@@ -26,11 +25,9 @@ from .grafting import (
 )
 
 __all__ = [
-    "TrajectoryMode",
     "GraftingTrajectory",
     "iterate_grafting",
     "ray_grafting",
-    "decay_factor",
     "ray_reparametrization",
     "TubeReport",
     "holonomy_tube_radius",
@@ -52,21 +49,15 @@ ACCUMULATION_NOTES = (
 )
 
 
-class TrajectoryMode(str, Enum):
-    ITERATE = "iterate"
-    RAY = "ray"
-
-
 @dataclass(frozen=True)
 class GraftingTrajectory:
     """Sequence of length states under grafting.
 
-    ITERATE: steps[k] is the state after k graftings along ``lamination``.
-    RAY: steps[k] is the state after a single grafting along
-    s_values[k] * lamination, each from the initial state.
+    Iterate (no ``s_values``): steps[k] is the state after k graftings
+    along ``lamination``.  Ray: steps[k + 1] is the state after a single
+    grafting along s_values[k] * lamination from the initial state steps[0].
     """
 
-    mode: TrajectoryMode
     lamination: WeightedMulticurve
     steps: tuple[LengthState, ...]
     s_values: tuple[float, ...] = ()
@@ -96,7 +87,7 @@ def iterate_grafting(state: LengthState, lam: WeightedMulticurve, n: int) -> Gra
             steps.append(graft_length_bounds(steps[-1], lam))
         except UnderflowError as exc:
             raise UnderflowError(f"step {step}: {exc}; use fewer steps") from exc
-    return GraftingTrajectory(mode=TrajectoryMode.ITERATE, lamination=lam, steps=tuple(steps))
+    return GraftingTrajectory(lamination=lam, steps=tuple(steps))
 
 
 def ray_grafting(
@@ -114,7 +105,6 @@ def ray_grafting(
         except UnderflowError as exc:
             raise UnderflowError(f"s_values[{k}]: {exc}") from exc
     return GraftingTrajectory(
-        mode=TrajectoryMode.RAY,
         lamination=lam,
         steps=tuple(steps),
         s_values=tuple(float(s) for s in s_values),
@@ -259,8 +249,8 @@ def endpoint_cauchy_analysis(
     The bounds form a geometric sequence with ratio max(decay factor)^{1/8};
     tails are summed directly and compared against the closed form.
     """
-    if trajectory.mode is not TrajectoryMode.ITERATE:
-        raise ValueError("endpoint analysis needs an iterate-mode trajectory")
+    if trajectory.s_values:
+        raise ValueError("endpoint analysis needs an iterate trajectory, not a ray")
     if len(trajectory.steps) < 2:
         raise ValueError("trajectory must contain at least one grafting step")
     max_his = trajectory.max_hi_series()[:-1]

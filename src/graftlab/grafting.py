@@ -3,8 +3,9 @@
 Curve lengths live in closed intervals [lo, hi]; every propagation rule
 evaluates its coefficients at the interval endpoint that keeps the output a
 true enclosure (the collar angle at hi because it decreases, the
-short-curve factor as 1/(1 + hi)).  Topology (which curves are disjoint
-from which) is declared by the scenario, never computed.
+short-curve factor as 1/(1 + hi)).  The lamination alone says which curves
+are grafted: every other tracked curve is disjoint from its support, as
+the scenario declares; topology is never computed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Mapping
 
 from .config import DEFAULT_CONSTANTS
@@ -21,7 +21,6 @@ from .hypgeom import annulus_angle, collar_angle, collar_width, freehomotopy_dis
 from .annuli import cylinder_boundary_distance, separation_factor
 
 __all__ = [
-    "Role",
     "LengthInterval",
     "WeightedMulticurve",
     "LengthState",
@@ -40,11 +39,6 @@ __all__ = [
     "split_sum",
     "graft_length_bounds",
 ]
-
-
-class Role(str, Enum):
-    SUPPORT = "support"
-    DISJOINT = "disjoint"
 
 
 @dataclass(frozen=True)
@@ -97,24 +91,17 @@ class WeightedMulticurve:
 class LengthState:
     """Tracked curve intervals plus the short-curve threshold in force."""
 
-    roles: Mapping[str, Role]
     lengths: Mapping[str, LengthInterval]
     epsilon: float = DEFAULT_CONSTANTS.epsilon
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
-        missing = set(self.lengths) - set(self.roles)
-        if missing:
-            raise ValueError(f"lengths given for undeclared curves: {sorted(missing)}")
-        object.__setattr__(self, "roles", dict(self.roles))
         object.__setattr__(self, "lengths", dict(self.lengths))
 
-    def ids_with_role(self, role: Role) -> list[str]:
-        return sorted(cid for cid, r in self.roles.items() if r is role and cid in self.lengths)
-
     def require_short(self, ids: Iterable[str]) -> None:
-        for cid in ids:
+        """Fail on the first of ``ids``, in sorted order, whose hi exceeds epsilon."""
+        for cid in sorted(ids):
             hi = self.lengths[cid].hi
             if hi > self.epsilon:
                 raise ShortnessError(
@@ -122,14 +109,8 @@ class LengthState:
                     "shortness hypothesis violated"
                 )
 
-    def max_hi(self, ids: Iterable[str] | None = None) -> float:
-        keys = list(ids) if ids is not None else list(self.lengths)
-        return max(self.lengths[cid].hi for cid in keys)
-
-    def with_lengths(self, new_lengths: Mapping[str, LengthInterval]) -> "LengthState":
-        merged = dict(self.lengths)
-        merged.update(new_lengths)
-        return LengthState(roles=self.roles, lengths=merged, epsilon=self.epsilon)
+    def max_hi(self, ids: Iterable[str]) -> float:
+        return max(self.lengths[cid].hi for cid in ids)
 
 
 @dataclass(frozen=True)
@@ -174,14 +155,19 @@ def _propagated(where: str, lo: float, hi: float) -> LengthInterval:
     return LengthInterval(lo, hi)
 
 
+def _support_step(where: str, old: LengthInterval, t: float) -> LengthInterval:
+    """The support-curve rule [lower * lo, upper * hi], factors at hi (see graft_factors)."""
+    f = graft_factors(old.hi, t)
+    return _propagated(where, f.lower * old.lo, f.upper * old.hi)
+
+
 def single_curve_graft_bounds(l: float, t: float) -> LengthInterval:
-    """Grafted-length enclosure for one curve of exact length l and weight t.
+    """The support-curve rule for one curve of exact length l and weight t.
 
     Raises UnderflowError when the lower bound is below the smallest
     normal float64.
     """
-    f = graft_factors(l, t)
-    return _propagated(f"at l = {l!r}, t = {t!r}", f.lower * l, f.upper * l)
+    return _support_step(f"at l = {l!r}, t = {t!r}", LengthInterval.point(l), t)
 
 
 @dataclass(frozen=True)
@@ -344,30 +330,23 @@ def split_sum(eta: WeightedMulticurve, lam: WeightedMulticurve) -> WeightedMulti
 def graft_length_bounds(state: LengthState, lam: WeightedMulticurve) -> LengthState:
     """Propagate every tracked interval across one grafting along ``lam``.
 
-    Support curves contract by [lower, pi/(pi+t)] (see graft_factors);
-    declared-disjoint curves keep their upper bound and lose at most the
-    separation factor.  Returns the state after the step.
+    The lamination's curves contract by [lower, pi/(pi+t)] (see
+    graft_factors); every other tracked curve is disjoint from its support,
+    keeps its upper bound and loses at most the separation factor.  Every
+    curve must be short.  Returns the state after the step.
     """
-    for cid in lam.support:
-        role = state.roles.get(cid)
-        if role is None:
-            raise ValueError(f"lamination references undeclared curve {cid!r}")
-        if role is not Role.SUPPORT:
-            raise ValueError(f"curve {cid!r} has role {role.value!r}, cannot carry weight")
+    for cid in sorted(lam.support):
         if cid not in state.lengths:
-            raise ValueError(f"no length interval tracked for support curve {cid!r}")
+            raise ValueError(f"no length interval tracked for lamination curve {cid!r}")
     state.require_short(lam.support)
 
-    new_lengths: dict[str, LengthInterval] = {}
-    for cid, weight in lam.items():
-        old = state.lengths[cid]
-        factors = graft_factors(old.hi, weight)
-        new_lengths[cid] = _propagated(
-            f"of curve {cid!r}", factors.lower * old.lo, factors.upper * old.hi
-        )
-    for cid in state.ids_with_role(Role.DISJOINT):
+    new_lengths = {
+        cid: _support_step(f"of curve {cid!r}", state.lengths[cid], weight)
+        for cid, weight in lam.items()
+    }
+    for cid in sorted(state.lengths.keys() - lam.support):
         state.require_short([cid])
         old = state.lengths[cid]
         lower = max(separation_factor(old.hi), 1.0 / (1.0 + old.hi))
         new_lengths[cid] = _propagated(f"of curve {cid!r}", lower * old.lo, old.hi)
-    return state.with_lengths(new_lengths)
+    return LengthState(new_lengths, state.epsilon)

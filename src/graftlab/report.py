@@ -62,7 +62,6 @@ import os
 from collections import deque
 from contextlib import closing
 from dataclasses import asdict, is_dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterator
 
@@ -89,11 +88,9 @@ def format_float(x: float) -> str:
 
 
 def jsonable(obj):
-    """Convert dataclasses / numpy / enums / paths to plain containers."""
+    """Convert dataclasses / numpy / paths to plain containers."""
     if is_dataclass(obj) and not isinstance(obj, type):
         return jsonable(asdict(obj))
-    if isinstance(obj, Enum):
-        return obj.value
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

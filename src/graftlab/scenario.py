@@ -17,9 +17,11 @@ smallest normal float64, below which they have lost relative precision.
 ``steps`` and the number of ``s_values`` are at most MAX_STEPS, each
 ``s_values`` entry times every lamination weight is a positive finite
 float64, ``lattices`` is a non-empty list of values in [MIN_LATTICE,
-MAX_LATTICE], a counterexample's two lamination weights differ, curve ids
-hold no ",", '"' or control character (below U+0020, or U+007F), since
-they are written into CSV cells as they are, and unknown keys are errors.
+MAX_LATTICE], a counterexample's two lamination weights differ, every
+``support`` curve and no ``disjoint`` curve has a lamination weight, curve
+ids hold no ",", '"' or control character (below U+0020, or U+007F),
+since they are written into CSV cells as they are, and unknown keys are
+errors.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from pathlib import Path
 from .beltrami import MAX_LATTICE, MIN_LATTICE
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import ScenarioError
-from .grafting import LengthInterval, LengthState, Role, WeightedMulticurve
+from .grafting import LengthInterval, LengthState, WeightedMulticurve
 from .qcmaps import DEFAULT_LATTICE
 
 __all__ = [
@@ -195,7 +197,7 @@ def load_scenario(path) -> Scenario:
         ("name", "steps", "s_values", "epsilon", "constants"),
     )
 
-    roles: dict[str, Role] = {}
+    roles: dict[str, str] = {}
     for i, entry in enumerate(_list(raw["curves"], "curves", min_items=1)):
         where = f"curves[{i}]"
         entry = _object(entry, where, ("id", "role"))
@@ -204,7 +206,7 @@ def load_scenario(path) -> Scenario:
             raise _fail(f"{where}.id", 'an id without ",", \'"\' or control characters', cid)
         if cid in roles:
             raise ScenarioError(f"duplicate curve id {cid!r}")
-        roles[cid] = Role(_string(entry["role"], f"{where}.role", tuple(r.value for r in Role)))
+        roles[cid] = _string(entry["role"], f"{where}.role", ("support", "disjoint"))
 
     lengths: dict[str, LengthInterval] = {}
     for cid, pair in _object(raw["lengths"], "lengths", optional=None).items():
@@ -225,9 +227,14 @@ def load_scenario(path) -> Scenario:
     for cid, weight in weights.items():
         if cid not in roles:
             raise ScenarioError(f"lamination references undeclared curve {cid!r}")
-        if roles[cid] is not Role.SUPPORT:
+        if roles[cid] != "support":
             raise ScenarioError(f"lamination curve {cid!r} must have role 'support'")
         _number(weight, _key("lamination", cid))
+    for cid, role in roles.items():
+        if role == "support" and cid not in weights:
+            raise ScenarioError(
+                f"missing field {_key('lamination', cid)}: support curve {cid!r} needs a weight"
+            )
     lamination = WeightedMulticurve(weights)
 
     constants = resolve_constants(_constants(raw.get("constants", {}), "constants"))
@@ -235,7 +242,7 @@ def load_scenario(path) -> Scenario:
     # threshold and the budget threshold cannot drift apart.
     epsilon = _number(raw["epsilon"], "epsilon") if "epsilon" in raw else constants.epsilon
     constants = constants.updated(epsilon=epsilon)
-    state = LengthState(roles=roles, lengths=lengths, epsilon=epsilon)
+    state = LengthState(lengths, epsilon)
 
     mode = _string(raw["mode"], "mode", MODES)
     steps = _integer(raw.get("steps", 0), "steps", 0, MAX_STEPS)
@@ -257,8 +264,7 @@ def load_scenario(path) -> Scenario:
     elif steps < 1:
         raise ScenarioError(f"mode {mode!r} requires steps >= 1")
     if mode == "counterexample":
-        support = [cid for cid, r in roles.items() if r is Role.SUPPORT]
-        if len(support) != 2:
+        if len(weights) != 2:
             raise ScenarioError("mode 'counterexample' needs exactly two support curves")
         if len(set(weights.values())) != 2:
             raise ScenarioError("mode 'counterexample' needs two unequal lamination weights")

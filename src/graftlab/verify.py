@@ -299,11 +299,12 @@ def suite_qcmaps(lattice: int, rng, tolerances, constants: Constants) -> list[Ch
 
     name = "untwist_chain_effective_constant_bounded"
     try:
-        chain = [dilatation.untwist_chain(l, 2.0 * math.pi, constants.T_radius) for l in L_GRID[1:]]
+        effective = [
+            dilatation.untwist_chain(l, 2.0 * math.pi, constants.T_radius) for l in L_GRID[1:]
+        ]
     except PRECONDITION_ERRORS as exc:
         out += _unmet(exc, name)
     else:
-        effective = [c.effective_c for c in chain]
         out.append(
             CheckResult(
                 name,
@@ -353,7 +354,6 @@ def suite_grafting(lattice: int, rng, tolerances, constants: Constants) -> list[
             for t in T_GRID:
                 interval = grafting.LengthInterval(0.8 * l, l)
                 state = grafting.LengthState(
-                    roles={"g": grafting.Role.SUPPORT},
                     lengths={"g": interval},
                     epsilon=constants.epsilon,
                 )
@@ -436,7 +436,6 @@ def suite_dynamics(lattice: int, rng, tolerances, constants: Constants) -> list[
     out = []
     t = 2.0 * math.pi
     state = grafting.LengthState(
-        roles={"g": grafting.Role.SUPPORT},
         lengths={"g": grafting.LengthInterval.point(0.1)},
         epsilon=constants.epsilon,
     )
@@ -453,7 +452,7 @@ def suite_dynamics(lattice: int, rng, tolerances, constants: Constants) -> list[
         )
     else:
         his = traj.hi_series("g")
-        factor = dynamics.decay_factor(t)
+        factor = grafting.decay_factor(t)
         worst = max(
             abs(h - 0.1 * factor**n) / (0.1 * factor**n) for n, h in enumerate(his)
         )
@@ -499,7 +498,6 @@ def suite_dynamics(lattice: int, rng, tolerances, constants: Constants) -> list[
 
     name = "counterexample_diverges_control_stays"
     pair = grafting.LengthState(
-        roles={"g1": grafting.Role.SUPPORT, "g2": grafting.Role.SUPPORT},
         lengths={cid: grafting.LengthInterval.point(0.05) for cid in ("g1", "g2")},
         epsilon=constants.epsilon,
     )
@@ -547,7 +545,6 @@ def suite_dynamics(lattice: int, rng, tolerances, constants: Constants) -> list[
 
     name = "tube_radius_is_sum_of_terms"
     multi = grafting.LengthState(
-        roles={"g1": grafting.Role.SUPPORT, "g2": grafting.Role.SUPPORT},
         lengths={
             "g1": grafting.LengthInterval.point(0.1),
             "g2": grafting.LengthInterval.point(0.08),

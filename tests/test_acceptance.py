@@ -13,7 +13,6 @@ import pytest
 from graftlab import (
     LengthInterval,
     LengthState,
-    Role,
     WeightedMulticurve,
     beltrami_estimate,
     collar_containment_check,
@@ -162,9 +161,7 @@ def test_criterion_5_length_bound_chain():
 
 
 def test_criterion_6_iteration_decay():
-    state = LengthState(
-        roles={"g": Role.SUPPORT}, lengths={"g": LengthInterval.point(0.1)}, epsilon=0.1
-    )
+    state = LengthState(lengths={"g": LengthInterval.point(0.1)}, epsilon=0.1)
     traj = iterate_grafting(state, WeightedMulticurve({"g": TWO_PI}), 20)
     worst = 0.0
     for n, hi in enumerate(traj.hi_series("g")):
@@ -185,7 +182,6 @@ def test_criterion_6_iteration_decay():
 
 def test_criterion_7_counterexample_divergence():
     pair_state = LengthState(
-        roles={"g1": Role.SUPPORT, "g2": Role.SUPPORT},
         lengths={
             "g1": LengthInterval.point(0.05),
             "g2": LengthInterval.point(0.05),
@@ -213,9 +209,7 @@ def test_criterion_7_counterexample_divergence():
 
 
 def test_criterion_8_cauchy_endpoints():
-    state = LengthState(
-        roles={"g": Role.SUPPORT}, lengths={"g": LengthInterval.point(0.1)}, epsilon=0.1
-    )
+    state = LengthState(lengths={"g": LengthInterval.point(0.1)}, epsilon=0.1)
     traj = iterate_grafting(state, WeightedMulticurve({"g": TWO_PI}), 20)
     report = endpoint_cauchy_analysis(traj, 1.0)
     q = decay_factor(TWO_PI) ** 0.125

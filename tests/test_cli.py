@@ -2,12 +2,15 @@ import copy
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import graftlab
 from graftlab.beltrami import MAX_LATTICE, MIN_LATTICE
 from graftlab.cli import main
 from graftlab.errors import ScenarioError
@@ -106,7 +109,7 @@ class TestInputContract:
         assert type(scenario.steps) is int and 0 <= scenario.steps <= MAX_STEPS
         assert all(is_number(c) and c > 0 for c in scenario.constants.as_dict().values())
         assert scenario.state.epsilon == scenario.constants.epsilon
-        for cid in scenario.state.roles:
+        for cid in scenario.state.lengths:
             assert not any(c in ',"\x7f' or c < " " for c in cid)
 
     @settings(
@@ -166,6 +169,14 @@ class TestInputContract:
                     "mode": "counterexample",
                 },
                 "unequal lamination weights",
+            ),
+            (
+                "simulate",
+                {
+                    "curves": [{"id": c, "role": "support"} for c in "gh"],
+                    "lengths": {"g": [0.1, 0.1], "h": [0.05, 0.09]},
+                },
+                "lamination.h",
             ),
         ],
     )
@@ -787,3 +798,38 @@ class TestGoldenOutputs:
         code = main(["verify", "all", "--lattice", "65", "--seed", "0", "--out", str(tmp_path)])
         assert code == 0
         assert sha256(tmp_path / "verify_all.json") == self.VERIFY_ALL
+
+
+class TestHashSeed:
+    """Runs do not depend on the string hash seed: the curve an error names
+    and the files a run writes are the same under every PYTHONHASHSEED."""
+
+    @staticmethod
+    def simulate(tmp_path, scenario: dict, seed: int) -> subprocess.CompletedProcess:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = str(Path(graftlab.__file__).resolve().parents[1])
+        env.pop("GRAFTLAB_CONSTANTS", None)
+        argv = ["simulate", "--scenario", str(path), "--out", str(tmp_path / f"out{seed}")]
+        return subprocess.run(
+            [sys.executable, "-m", "graftlab.cli", *argv], env=env, capture_output=True, text=True
+        )
+
+    def test_same_error_and_same_files_under_two_seeds(self, tmp_path):
+        too_long = dict(
+            SCENARIO,
+            curves=[{"id": c, "role": "support"} for c in "abc"],
+            lengths={"a": [0.2, 0.2], "b": [0.3, 0.3], "c": [0.4, 0.4]},
+            lamination={"a": 1.0, "b": 1.0, "c": 1.0},
+        )
+        runs = [self.simulate(tmp_path, too_long, seed) for seed in (1, 2)]
+        assert [r.returncode for r in runs] == [2, 2]
+        assert runs[0].stderr == runs[1].stderr
+        assert runs[0].stderr.startswith("error: curve 'a' has upper length bound 0.2")
+
+        scenario, _ = TestGoldenOutputs.TRAJECTORIES["non_ascii_ids"]
+        for seed in (1, 2):
+            assert self.simulate(tmp_path, scenario, seed).returncode == 0
+        for name in ("trajectory.csv", "report.json"):
+            assert sha256(tmp_path / "out1" / name) == sha256(tmp_path / "out2" / name)

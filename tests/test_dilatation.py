@@ -59,11 +59,11 @@ class TestUntwistBound:
         grafted = single_curve_graft_bounds(0.05, 2 * math.pi).hi
         moduli = bounding_annulus_moduli(grafted, 0.05**0.25)
         assert _untwist_bound_from_ratio_sq(moduli.ratio**2) == pytest.approx(
-            chain.effective_c * 0.05**0.125, rel=1e-14
+            chain * 0.05**0.125, rel=1e-14
         )
         assert moduli.mod_c1 > moduli.mod_c2 > 0.0
         # Effective constants stay bounded along the shrinking-length grid.
-        effective = [untwist_chain(l, 2 * math.pi).effective_c for l in L_GRID[1:]]
+        effective = [untwist_chain(l, 2 * math.pi) for l in L_GRID[1:]]
         assert max(effective) < 10.0
         assert all(c > 0.0 for c in effective)
 

@@ -8,9 +8,7 @@ import pytest
 from graftlab import (
     LengthInterval,
     LengthState,
-    Role,
     ShortnessError,
-    TrajectoryMode,
     WeightedMulticurve,
     collapse_distance_bound,
     counterexample_analysis,
@@ -39,7 +37,6 @@ TWO_PI = 2 * math.pi
 
 def single_state(l=0.1, epsilon=0.1):
     return LengthState(
-        roles={"g": Role.SUPPORT},
         lengths={"g": LengthInterval.point(l)},
         epsilon=epsilon,
     )
@@ -49,7 +46,7 @@ class TestIterateGrafting:
     def test_zero_steps_is_singleton(self):
         traj = iterate_grafting(single_state(), WeightedMulticurve({"g": TWO_PI}), 0)
         assert len(traj.steps) == 1
-        assert traj.mode is TrajectoryMode.ITERATE
+        assert traj.s_values == ()
 
     def test_three_steps_two_pi(self):
         traj = iterate_grafting(single_state(), WeightedMulticurve({"g": TWO_PI}), 3)
@@ -88,7 +85,7 @@ class TestRayGrafting:
     def test_each_step_from_initial(self):
         state = single_state()
         traj = ray_grafting(state, WeightedMulticurve({"g": 1.0}), [1.0, 2.0, 4.0])
-        assert traj.mode is TrajectoryMode.RAY
+        assert traj.s_values == (1.0, 2.0, 4.0)
         for s, step in zip(traj.s_values, traj.steps[1:]):
             expected = decay_factor(s * 1.0) * 0.1
             assert step.lengths["g"].hi == pytest.approx(expected, rel=1e-14)
@@ -124,7 +121,6 @@ class TestHolonomyTubeRadius:
 
     def test_frozen_two_weight_value(self):
         state = LengthState(
-            roles={"a": Role.SUPPORT, "b": Role.SUPPORT},
             lengths={"a": LengthInterval.point(0.1), "b": LengthInterval.point(0.05)},
         )
         lam = WeightedMulticurve({"a": TWO_PI, "b": 4 * math.pi})
@@ -250,7 +246,6 @@ class TestAccumulation:
 
 def pair_state(l):
     return LengthState(
-        roles={"g1": Role.SUPPORT, "g2": Role.SUPPORT},
         lengths={"g1": LengthInterval.point(l), "g2": LengthInterval.point(l)},
     )
 

@@ -8,7 +8,6 @@ from graftlab import (
     GeometryError,
     LengthInterval,
     LengthState,
-    Role,
     ShortnessError,
     UnderflowError,
     WeightedMulticurve,
@@ -38,7 +37,6 @@ T_GRID = [math.pi, 2 * math.pi, 4 * math.pi]
 
 def one_curve_state(l=0.1, epsilon=0.1):
     return LengthState(
-        roles={"g": Role.SUPPORT},
         lengths={"g": LengthInterval.point(l)},
         epsilon=epsilon,
     )
@@ -46,7 +44,6 @@ def one_curve_state(l=0.1, epsilon=0.1):
 
 def two_curve_state(l=0.1):
     return LengthState(
-        roles={"g": Role.SUPPORT, "d": Role.DISJOINT},
         lengths={"g": LengthInterval.point(l), "d": LengthInterval(0.8 * l, l)},
         epsilon=0.1,
     )
@@ -126,12 +123,25 @@ class TestGraftLengthBounds:
         new = graft_length_bounds(state, WeightedMulticurve({"g": 1.0})).lengths["g"]
         assert new.hi < 0.1
 
-    def test_unknown_and_misroled_curves_rejected(self):
-        state = two_curve_state()
+    def test_unknown_curve_rejected(self):
         with pytest.raises(ValueError):
-            graft_length_bounds(state, WeightedMulticurve({"q": 1.0}))
-        with pytest.raises(ValueError):
-            graft_length_bounds(state, WeightedMulticurve({"d": 1.0}))
+            graft_length_bounds(two_curve_state(), WeightedMulticurve({"q": 1.0}))
+
+    def test_curve_outside_the_lamination_follows_the_disjoint_rule(self):
+        # The lamination alone says which curves are grafted: h is tracked
+        # but carries no weight, so each step scales its lo by
+        # max(K(hi), 1/(1 + hi)) and keeps its hi.
+        state = LengthState(
+            lengths={"g": LengthInterval.point(0.1), "h": LengthInterval(0.05, 0.09)},
+            epsilon=0.1,
+        )
+        lam = WeightedMulticurve({"g": 2 * math.pi})
+        lo = 0.05
+        for _ in range(3):
+            state = graft_length_bounds(state, lam)
+            lo *= max(separation_factor(0.09), 1.0 / 1.09)
+            assert state.lengths["h"] == LengthInterval(lo, 0.09)
+        assert lo == pytest.approx(0.04583, abs=5e-6)
 
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -146,7 +156,6 @@ class TestGraftLengthBounds:
 
         monkeypatch.setattr(grafting, "graft_factors", spy)
         state = LengthState(
-            roles={"a": Role.SUPPORT, "b": Role.SUPPORT, "d": Role.DISJOINT},
             lengths={
                 "a": LengthInterval(0.05, 0.1),
                 "b": LengthInterval.point(0.02),
