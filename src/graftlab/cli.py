@@ -84,14 +84,12 @@ def _steps(n: int) -> np.ndarray:
 def _trajectory_columns(traj) -> list[np.ndarray]:
     """Columns step, curve, lo, hi and the realized upper factor, one row per
     step and curve, curves sorted within a step."""
-    ids = sorted(traj.steps[0].lengths)
-    lo = np.array([traj.lo_series(cid) for cid in ids]).T
-    hi = np.array([traj.hi_series(cid) for cid in ids]).T
+    hi = traj.hi
     factor = np.ones_like(hi)
     factor[1:] = hi[1:] / (hi[:1] if traj.s_values else hi[:-1])
-    step = np.repeat(_steps(len(traj.steps)), len(ids))
-    curve = np.tile(np.array([cid.encode() for cid in ids]), len(traj.steps))
-    return [step, curve, lo.ravel(), hi.ravel(), factor.ravel()]
+    step = np.repeat(_steps(len(hi)), len(traj.ids))
+    curve = np.tile(np.array([cid.encode() for cid in traj.ids]), len(hi))
+    return [step, curve, traj.lo.ravel(), hi.ravel(), factor.ravel()]
 
 
 def _cmd_simulate(args) -> int:
@@ -156,11 +154,13 @@ def _cmd_simulate(args) -> int:
         }
 
     report["final_lengths"] = {
-        cid: [iv.lo, iv.hi] for cid, iv in sorted(traj.steps[-1].lengths.items())
+        cid: [lo, hi] for cid, lo, hi in zip(traj.ids, traj.lo[-1].tolist(), traj.hi[-1].tolist())
     }
-    columns = _trajectory_columns(traj)
-    del traj  # so the table is written without the trajectory beside it
-    write_csv(out_dir / "trajectory.csv", ["step", "curve", "lo", "hi", "decay_factor"], *columns)
+    write_csv(
+        out_dir / "trajectory.csv",
+        ["step", "curve", "lo", "hi", "decay_factor"],
+        *_trajectory_columns(traj),
+    )
     write_json(out_dir / "report.json", report)
     print(f"wrote {out_dir / 'trajectory.csv'} and {out_dir / 'report.json'}")
     return 0

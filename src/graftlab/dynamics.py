@@ -1,8 +1,9 @@
 """Iterated grafting trajectories, tube radii and convergence analyses.
 
 Everything here is interval bookkeeping on top of the one-step propagation
-rules: trajectories apply them n times, the tube and lift radii add up
-the resulting distance bounds, and two analyses read one trajectory: the
+rule: a trajectory fills (steps + 1) x curves arrays of lo and hi, one
+GraftingRule step per row, the tube and lift radii add up the resulting
+distance bounds, and two analyses read columns of one trajectory: the
 endpoint analysis certifies the geometric-series structure of those
 bounds (simulate's accumulation block is read from it too), and the
 counterexample analysis follows the length quotient of two unequally
@@ -12,17 +13,15 @@ weighted curves.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import DEFAULT_CONSTANTS
 from .errors import UnderflowError
 from .hypgeom import collar_angle
-from .grafting import (
-    LengthState,
-    WeightedMulticurve,
-    decay_factor,
-    graft_length_bounds,
-)
+from .grafting import GraftingRule, LengthState, WeightedMulticurve, decay_factor
 
 __all__ = [
     "GraftingTrajectory",
@@ -49,28 +48,57 @@ ACCUMULATION_NOTES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraftingTrajectory:
-    """Sequence of length states under grafting.
+    """Length bounds under grafting as two read-only (steps + 1) x curves arrays.
 
-    Iterate (no ``s_values``): steps[k] is the state after k graftings
-    along ``lamination``.  Ray: steps[k + 1] is the state after a single
-    grafting along s_values[k] * lamination from the initial state steps[0].
+    Column j of ``lo`` and ``hi`` is the curve ids[j], in sorted id order.
+    Iterate (no ``s_values``): row k is the state after k graftings along
+    ``lamination``.  Ray: row k + 1 is the state after a single grafting
+    along s_values[k] * lamination from the initial state, row 0.
     """
 
     lamination: WeightedMulticurve
-    steps: tuple[LengthState, ...]
+    ids: tuple[str, ...]
+    lo: np.ndarray
+    hi: np.ndarray
+    epsilon: float
     s_values: tuple[float, ...] = ()
 
+    def __post_init__(self) -> None:
+        self.lo.setflags(write=False)
+        self.hi.setflags(write=False)
+
+    @property
+    def steps(self) -> "TrajectorySteps":
+        """Row k as a LengthState, built when it is read."""
+        return TrajectorySteps(self)
+
     def hi_series(self, cid: str) -> list[float]:
-        return [state.lengths[cid].hi for state in self.steps]
+        return self.hi[:, self.ids.index(cid)].tolist()
 
     def lo_series(self, cid: str) -> list[float]:
-        return [state.lengths[cid].lo for state in self.steps]
+        return self.lo[:, self.ids.index(cid)].tolist()
 
     def max_hi_series(self) -> list[float]:
-        ids = sorted(self.lamination.support)
-        return [max(state.lengths[cid].hi for cid in ids) for state in self.steps]
+        columns = [self.ids.index(cid) for cid in sorted(self.lamination.support)]
+        return self.hi[:, columns].max(axis=1).tolist()
+
+
+class TrajectorySteps(Sequence):
+    """The rows of a trajectory as LengthStates, one built per read of steps[k]."""
+
+    def __init__(self, trajectory: GraftingTrajectory) -> None:
+        self._trajectory = trajectory
+
+    def __len__(self) -> int:
+        return len(self._trajectory.lo)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        t = self._trajectory
+        return LengthState.from_row(t.ids, t.lo[k], t.hi[k], t.epsilon)
 
 
 def iterate_grafting(state: LengthState, lam: WeightedMulticurve, n: int) -> GraftingTrajectory:
@@ -81,13 +109,15 @@ def iterate_grafting(state: LengthState, lam: WeightedMulticurve, n: int) -> Gra
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
-    steps = [state]
+    rule = GraftingRule(state, lam.support)
+    lo, hi = rule.rows(n)
+    weights = rule.weights(lam)
     for step in range(1, n + 1):
         try:
-            steps.append(graft_length_bounds(steps[-1], lam))
+            rule.step(lo[step - 1], hi[step - 1], lo[step], hi[step], *weights)
         except UnderflowError as exc:
             raise UnderflowError(f"step {step}: {exc}; use fewer steps") from exc
-    return GraftingTrajectory(lamination=lam, steps=tuple(steps))
+    return GraftingTrajectory(lam, *rule.in_id_order(lo, hi), state.epsilon)
 
 
 def ray_grafting(
@@ -98,16 +128,16 @@ def ray_grafting(
     """One-step bounds for each scaled lamination s * lam from the same start."""
     if not s_values:
         raise ValueError("ray mode needs at least one s value")
-    steps = [state]
+    rule = GraftingRule(state, lam.support)
+    lo, hi = rule.rows(len(s_values))
     for k, s in enumerate(s_values):
+        weights = rule.weights(lam.scaled(s))
         try:
-            steps.append(graft_length_bounds(state, lam.scaled(s)))
+            rule.step(lo[0], hi[0], lo[k + 1], hi[k + 1], *weights)
         except UnderflowError as exc:
             raise UnderflowError(f"s_values[{k}]: {exc}") from exc
     return GraftingTrajectory(
-        lamination=lam,
-        steps=tuple(steps),
-        s_values=tuple(float(s) for s in s_values),
+        lam, *rule.in_id_order(lo, hi), state.epsilon, tuple(float(s) for s in s_values)
     )
 
 
@@ -216,12 +246,12 @@ def counterexample_analysis(trajectory: GraftingTrajectory) -> dict:
     items = trajectory.lamination.items()
     light = min(items, key=lambda kv: kv[1])[0]
     heavy = max(items, key=lambda kv: kv[1])[0]
-    ratios = [st.lengths[heavy].hi / st.lengths[light].lo for st in trajectory.steps]
-    decreasing_from = next(
-        k
-        for k in range(len(ratios))
-        if all(b < a for a, b in zip(ratios[k:], ratios[k + 1 :]))
-    )
+    ids = trajectory.ids
+    ratios = (trajectory.hi[:, ids.index(heavy)] / trajectory.lo[:, ids.index(light)]).tolist()
+    # ratios[decreasing_from:] decreases strictly: walk back while the step into k decreases.
+    decreasing_from = len(ratios) - 1
+    while decreasing_from > 0 and ratios[decreasing_from] < ratios[decreasing_from - 1]:
+        decreasing_from -= 1
     return {
         "ratios": ratios,
         "decreasing_from": decreasing_from,

@@ -6,6 +6,12 @@ true enclosure (the collar angle at hi because it decreases, the
 short-curve factor as 1/(1 + hi)).  The lamination alone says which curves
 are grafted: every other tracked curve is disjoint from its support, as
 the scenario declares; topology is never computed.
+
+A grafting step is one operation on a row of float64 arrays, one entry per
+tracked curve (GraftingRule).  numpy's + - * / round as Python's float
+operations do, so a row holds the bits of the scalar formulas.  The
+transcendental functions stay in ``math``, one call per entry: numpy's
+versions can differ from them in the last bit, and by CPU.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .config import DEFAULT_CONSTANTS
 from .errors import GeometryError, ShortnessError, UnderflowError
@@ -37,6 +45,7 @@ __all__ = [
     "wolpert_ratio",
     "weighted_sum",
     "split_sum",
+    "GraftingRule",
     "graft_length_bounds",
 ]
 
@@ -99,6 +108,16 @@ class LengthState:
             raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
         object.__setattr__(self, "lengths", dict(self.lengths))
 
+    @classmethod
+    def from_row(
+        cls, ids: Sequence[str], lo: np.ndarray, hi: np.ndarray, epsilon: float
+    ) -> "LengthState":
+        """The state whose curve ids[j] has the interval [lo[j], hi[j]]."""
+        return cls(
+            {cid: LengthInterval(l, h) for cid, l, h in zip(ids, lo.tolist(), hi.tolist())},
+            epsilon,
+        )
+
     def require_short(self, ids: Iterable[str]) -> None:
         """Fail on the first of ``ids``, in sorted order, whose hi exceeds epsilon."""
         for cid in sorted(ids):
@@ -136,29 +155,39 @@ def graft_factors(l_hi: float, t: float) -> GraftFactors:
     upper length endpoint because theta decreases.
     """
     upper = decay_factor(t)
-    two_theta = 2.0 * collar_angle(l_hi)
-    lower = (1.0 / (1.0 + l_hi)) * two_theta / (two_theta + t)
-    return GraftFactors(upper=upper, lower=lower)
+    return GraftFactors(upper=upper, lower=float(_lower_factors(np.array([l_hi]), t)[0]))
 
 
-def _propagated(where: str, lo: float, hi: float) -> LengthInterval:
-    """The propagated enclosure [lo, hi]; ``where`` names it in the error.
+def _lower_factors(l_hi: np.ndarray, t) -> np.ndarray:
+    """The lower factor of graft_factors at each entry of ``l_hi``."""
+    two_theta = np.array([2.0 * collar_angle(h) for h in l_hi.tolist()])
+    return (1.0 / (1.0 + l_hi)) * two_theta / (two_theta + t)
+
+
+def _require_enclosures(where: Sequence[str], lo: np.ndarray, hi: np.ndarray) -> None:
+    """Fail on the first entry j whose propagated [lo, hi] is no enclosure; where[j] names it.
 
     Raises UnderflowError when lo is below the smallest normal float64,
-    where the bound has lost relative precision (or rounded to 0).
+    where the bound has lost relative precision (or rounded to 0), and
+    otherwise LengthInterval's ValueError unless 0 < lo <= hi < inf.
     """
-    if lo < sys.float_info.min:
-        raise UnderflowError(
-            f"lower length bound {lo!r} {where} is below the smallest "
-            f"normal float64 {sys.float_info.min!r}"
-        )
-    return LengthInterval(lo, hi)
+    ok = (lo >= sys.float_info.min) & (lo <= hi) & (hi < math.inf)
+    if not ok.all():
+        j = int(np.argmin(ok))
+        lo_j, hi_j = float(lo[j]), float(hi[j])
+        if lo_j < sys.float_info.min:
+            raise UnderflowError(
+                f"lower length bound {lo_j!r} {where[j]} is below the smallest "
+                f"normal float64 {sys.float_info.min!r}"
+            )
+        LengthInterval(lo_j, hi_j)
 
 
-def _support_step(where: str, old: LengthInterval, t: float) -> LengthInterval:
-    """The support-curve rule [lower * lo, upper * hi], factors at hi (see graft_factors)."""
-    f = graft_factors(old.hi, t)
-    return _propagated(where, f.lower * old.lo, f.upper * old.hi)
+def _support_step(lo, hi, t, upper, new_lo: np.ndarray, new_hi: np.ndarray) -> None:
+    """The support-curve rule [lower * lo, upper * hi] into (new_lo, new_hi), factors at hi
+    (see graft_factors)."""
+    np.multiply(_lower_factors(hi, t), lo, out=new_lo)
+    np.multiply(upper, hi, out=new_hi)
 
 
 def single_curve_graft_bounds(l: float, t: float) -> LengthInterval:
@@ -167,7 +196,11 @@ def single_curve_graft_bounds(l: float, t: float) -> LengthInterval:
     Raises UnderflowError when the lower bound is below the smallest
     normal float64.
     """
-    return _support_step(f"at l = {l!r}, t = {t!r}", LengthInterval.point(l), t)
+    point = np.array([LengthInterval.point(l).lo], float)
+    lo, hi = np.empty(1), np.empty(1)
+    _support_step(point, point, t, decay_factor(t), lo, hi)
+    _require_enclosures([f"at l = {l!r}, t = {t!r}"], lo, hi)
+    return LengthInterval(float(lo[0]), float(hi[0]))
 
 
 @dataclass(frozen=True)
@@ -327,26 +360,83 @@ def split_sum(eta: WeightedMulticurve, lam: WeightedMulticurve) -> WeightedMulti
     return WeightedMulticurve(merged)
 
 
+class GraftingRule:
+    """One grafting step from ``state``, along a lamination on ``support``, on rows of arrays.
+
+    Entry j of a row is the curve ids[j]: the support curves first, then
+    the others, each in id order, so that a step works on two slices.
+    ``lo`` and ``hi`` are the row of ``state``.  A step grafts the support
+    curves by [lower * lo, upper * hi] (see graft_factors).  Every other
+    curve is disjoint from the support: it keeps its hi and its lo is
+    scaled by max(K(hi), 1/(1 + hi)), computed once here because that hi
+    never changes.  Each step checks, in this order, for an untracked
+    lamination curve, for a support curve that is not short, and then
+    each curve in row order for its enclosure, except that a disjoint
+    curve that is not short fails in its place.  A shortness error quotes
+    the bound as ``state`` holds it.
+    """
+
+    def __init__(self, state: LengthState, support: frozenset[str]) -> None:
+        self.state = state
+        self.untracked = sorted(support - state.lengths.keys())
+        support_ids = sorted(cid for cid in support if cid in state.lengths)
+        disjoint_ids = sorted(state.lengths.keys() - support)
+        self.ids = (*support_ids, *disjoint_ids)
+        self.n_support = len(support_ids)
+        self.lo = np.array([state.lengths[cid].lo for cid in self.ids], float)
+        self.hi = np.array([state.lengths[cid].hi for cid in self.ids], float)
+        disjoint_hi = self.hi[self.n_support :].tolist()
+        self.disjoint_lower = np.array(
+            [max(separation_factor(h), 1.0 / (1.0 + h)) for h in disjoint_hi]
+        )
+        long = {cid for cid in self.ids if state.lengths[cid].hi > state.epsilon}
+        self.long_support = [cid for cid in support_ids if cid in long][:1]
+        n = next((k for k, cid in enumerate(disjoint_ids) if cid in long), len(disjoint_ids))
+        self.long_disjoint = disjoint_ids[n : n + 1]
+        self.checked = self.n_support + n  # the columns a step checks before long_disjoint
+        self.where = [f"of curve {cid!r}" for cid in self.ids[: self.checked]]
+
+    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays lo and hi of n + 1 rows, row 0 set to the state's."""
+        lo, hi = np.empty((n + 1, len(self.ids))), np.empty((n + 1, len(self.ids)))
+        lo[0], hi[0] = self.lo, self.hi
+        return lo, hi
+
+    def in_id_order(self, lo: np.ndarray, hi: np.ndarray):
+        """(ids, lo, hi) with the columns of rows ``lo`` and ``hi`` in sorted id order."""
+        order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
+        return tuple(self.ids[j] for j in order), lo[:, order], hi[:, order]
+
+    def weights(self, lam: WeightedMulticurve) -> tuple[np.ndarray, np.ndarray]:
+        """The weights t of ``lam`` at the support curves and their upper factors pi/(pi + t)."""
+        t = [lam[cid] for cid in self.ids[: self.n_support]]
+        return np.array(t, float), np.array([decay_factor(w) for w in t])
+
+    def step(self, lo, hi, new_lo: np.ndarray, new_hi: np.ndarray, t, upper) -> None:
+        """Write the row after one grafting from row (lo, hi), with ``weights`` (t, upper),
+        into (new_lo, new_hi)."""
+        if self.untracked:
+            cid = self.untracked[0]
+            raise ValueError(f"no length interval tracked for lamination curve {cid!r}")
+        self.state.require_short(self.long_support)
+        s, c = self.n_support, self.checked
+        _support_step(lo[:s], hi[:s], t, upper, new_lo[:s], new_hi[:s])
+        np.multiply(self.disjoint_lower, lo[s:], out=new_lo[s:])
+        new_hi[s:] = hi[s:]
+        _require_enclosures(self.where, new_lo[:c], new_hi[:c])
+        self.state.require_short(self.long_disjoint)
+
+
 def graft_length_bounds(state: LengthState, lam: WeightedMulticurve) -> LengthState:
     """Propagate every tracked interval across one grafting along ``lam``.
 
     The lamination's curves contract by [lower, pi/(pi+t)] (see
     graft_factors); every other tracked curve is disjoint from its support,
     keeps its upper bound and loses at most the separation factor.  Every
-    curve must be short.  Returns the state after the step.
+    curve must be short.  Returns the state after the step: one step of
+    GraftingRule.
     """
-    for cid in sorted(lam.support):
-        if cid not in state.lengths:
-            raise ValueError(f"no length interval tracked for lamination curve {cid!r}")
-    state.require_short(lam.support)
-
-    new_lengths = {
-        cid: _support_step(f"of curve {cid!r}", state.lengths[cid], weight)
-        for cid, weight in lam.items()
-    }
-    for cid in sorted(state.lengths.keys() - lam.support):
-        state.require_short([cid])
-        old = state.lengths[cid]
-        lower = max(separation_factor(old.hi), 1.0 / (1.0 + old.hi))
-        new_lengths[cid] = _propagated(f"of curve {cid!r}", lower * old.lo, old.hi)
-    return LengthState(new_lengths, state.epsilon)
+    rule = GraftingRule(state, lam.support)
+    lo, hi = rule.rows(1)
+    rule.step(lo[0], hi[0], lo[1], hi[1], *rule.weights(lam))
+    return LengthState.from_row(rule.ids, lo[1], hi[1], state.epsilon)

@@ -16,8 +16,10 @@ parameters ``a``, ``k`` and ``b`` must be > 0, and lengths at least the
 smallest normal float64, below which they have lost relative precision.
 ``steps`` and the number of ``s_values`` are at most MAX_STEPS, each
 ``s_values`` entry times every lamination weight is a positive finite
-float64, ``lattices`` is a non-empty list of values in [MIN_LATTICE,
-MAX_LATTICE], a counterexample's two lamination weights differ, every
+float64, only mode ``ray`` reads ``s_values`` and every other mode reads
+``steps`` (a field the mode does not read is an error), ``lattices`` is a
+non-empty list of values in [MIN_LATTICE, MAX_LATTICE], a
+counterexample's two lamination weights differ, every
 ``support`` curve and no ``disjoint`` curve has a lamination weight, curve
 ids hold no ",", '"' or control character (below U+0020, or U+007F),
 since they are written into CSV cells as they are, and unknown keys are
@@ -258,6 +260,9 @@ def load_scenario(path) -> Scenario:
                     "a number whose product with each lamination weight is positive and finite",
                     items[i],
                 )
+    unread = "steps" if mode == "ray" else "s_values"
+    if unread in raw:
+        raise ScenarioError(f"field {unread} is not read in mode {mode!r}")
     if mode == "ray":
         if not s_values:
             raise ScenarioError("mode 'ray' requires s_values")

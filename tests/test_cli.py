@@ -48,14 +48,22 @@ def replaced(doc, path, value):
     return doc
 
 
-# A scenario with every optional field, and the field paths mutated one at a
-# time; () replaces the whole document and "latices" adds an unknown key.
-FULL_SCENARIO = dict(SCENARIO, s_values=[0.5], epsilon=0.1, constants={"K2": 1.0})
-SCENARIO_PATHS = [
+# Scenarios that hold every optional field between them: s_values is read
+# in ray mode only, and steps in every other mode.  Each is paired with the
+# field paths mutated one at a time; () replaces the whole document and
+# "latices" adds an unknown key.
+FULL_SCENARIO = dict(SCENARIO, epsilon=0.1, constants={"K2": 1.0})
+RAY_SCENARIO = {k: v for k, v in FULL_SCENARIO.items() if k != "steps"}
+RAY_SCENARIO.update(mode="ray", s_values=[0.5])
+COMMON_PATHS = [
     (), ("name",), ("curves",), ("curves", 0), ("curves", 0, "id"), ("curves", 0, "role"),
     ("lengths",), ("lengths", "g"), ("lengths", "g", 0), ("lengths", "g", 1),
-    ("lamination",), ("lamination", "g"), ("mode",), ("steps",), ("s_values",),
+    ("lamination",), ("lamination", "g"), ("mode",),
     ("epsilon",), ("constants",), ("constants", "K2"), ("latices",),
+]
+SCENARIO_PATHS = [
+    *[(FULL_SCENARIO, path) for path in [*COMMON_PATHS, ("steps",), ("s_values",)]],
+    *[(RAY_SCENARIO, path) for path in [*COMMON_PATHS, ("s_values",), ("steps",)]],
 ]
 MAP_SPEC_PATHS = [
     (), ("kind",), ("params",), ("params", "a"), ("params", "amplitude"), ("params", "k"),
@@ -94,10 +102,10 @@ class TestInputContract:
     @settings(
         max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
-    @given(path=st.sampled_from(SCENARIO_PATHS), value=JSON_VALUES)
-    def test_scenario(self, tmp_path, monkeypatch, path, value):
+    @given(doc_path=st.sampled_from(SCENARIO_PATHS), value=JSON_VALUES)
+    def test_scenario(self, tmp_path, monkeypatch, doc_path, value):
         monkeypatch.delenv("GRAFTLAB_CONSTANTS", raising=False)
-        scenario = self.load(tmp_path, load_scenario, replaced(FULL_SCENARIO, path, value))
+        scenario = self.load(tmp_path, load_scenario, replaced(*doc_path, value))
         if scenario is None:
             return
         for interval in scenario.state.lengths.values():
@@ -107,6 +115,7 @@ class TestInputContract:
         assert len(scenario.s_values) <= MAX_STEPS
         assert all(is_number(s) and s > 0 for s in scenario.s_values)
         assert type(scenario.steps) is int and 0 <= scenario.steps <= MAX_STEPS
+        assert (scenario.mode == "ray") == (scenario.steps == 0) == bool(scenario.s_values)
         assert all(is_number(c) and c > 0 for c in scenario.constants.as_dict().values())
         assert scenario.state.epsilon == scenario.constants.epsilon
         for cid in scenario.state.lengths:
@@ -177,6 +186,12 @@ class TestInputContract:
                     "lengths": {"g": [0.1, 0.1], "h": [0.05, 0.09]},
                 },
                 "lamination.h",
+            ),
+            ("simulate", {"s_values": [1000.0]}, "field s_values is not read in mode 'iterate'"),
+            (
+                "simulate",
+                {"mode": "ray", "s_values": [0.5], "steps": 99999},
+                "field steps is not read in mode 'ray'",
             ),
         ],
     )
@@ -437,9 +452,8 @@ class TestSimulateCommand:
         assert len(tables) == 1
 
     def test_ray_mode(self, tmp_path):
-        path = write_scenario(
-            tmp_path, mode="ray", steps=0, s_values=[0.5, 1.0, 2.0]
-        )
+        path = tmp_path / "ray.json"
+        path.write_text(json.dumps(dict(RAY_SCENARIO, s_values=[0.5, 1.0, 2.0])))
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["scenario"]["s_values"] == [0.5, 1.0, 2.0]

@@ -4,8 +4,10 @@ from itertools import count
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from graftlab import (
+    GraftingTrajectory,
     LengthInterval,
     LengthState,
     ShortnessError,
@@ -271,6 +273,19 @@ class TestCounterexample:
         report = counterexample(0.05, 12)
         assert report["decreasing_from"] <= 2
         assert min(report["ratios"]) < 0.05
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=30))
+    def test_decreasing_from_is_the_first_strictly_decreasing_suffix(self, values):
+        # hi(heavy) / lo(light) with lo(light) = 1 reads the drawn ratios, ties included.
+        ratios = [float(v) for v in values]
+        lam = WeightedMulticurve({"g1": 1.0, "g2": 2.0})
+        lo, hi = np.ones((len(ratios), 2)), np.ones((len(ratios), 2))
+        hi[:, 1] = ratios
+        report = counterexample_analysis(GraftingTrajectory(lam, ("g1", "g2"), lo, hi, 0.1))
+        assert report["ratios"] == ratios
+        assert report["decreasing_from"] == next(
+            k for k in range(len(ratios)) if all(b < a for a, b in zip(ratios[k:], ratios[k + 1 :]))
+        )
 
     def test_equal_weights_control_stays_at_one(self):
         lam = WeightedMulticurve({"g1": TWO_PI, "g2": TWO_PI})

@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graftlab import (
     GeometryError,
@@ -16,6 +17,8 @@ from graftlab import (
     collar_containment_check,
     graft_factors,
     graft_length_bounds,
+    iterate_grafting,
+    ray_grafting,
     separation_factor,
     single_curve_graft_bounds,
     split_sum,
@@ -147,14 +150,21 @@ class TestGraftLengthBounds:
         with pytest.raises(ValueError):
             WeightedMulticurve({"g": 0.0})
 
-    def test_one_graft_factors_call_per_support_curve(self, monkeypatch):
-        calls = []
+    def test_one_collar_angle_per_support_curve_and_step(self, monkeypatch):
+        # Each step evaluates a support curve's factors once, at its hi; the
+        # disjoint factor is evaluated once per trajectory, since that hi never changes.
+        angles, separations = [], []
 
-        def spy(l_hi, t):
-            calls.append((l_hi, t))
-            return graft_factors(l_hi, t)
+        def angle_spy(l):
+            angles.append(l)
+            return collar_angle(l)
 
-        monkeypatch.setattr(grafting, "graft_factors", spy)
+        def separation_spy(l):
+            separations.append(l)
+            return separation_factor(l)
+
+        monkeypatch.setattr(grafting, "collar_angle", angle_spy)
+        monkeypatch.setattr(grafting, "separation_factor", separation_spy)
         state = LengthState(
             lengths={
                 "a": LengthInterval(0.05, 0.1),
@@ -164,8 +174,173 @@ class TestGraftLengthBounds:
             epsilon=0.1,
         )
         lam = WeightedMulticurve({"a": math.pi, "b": 2 * math.pi})
-        graft_length_bounds(state, lam)
-        assert sorted(calls) == [(0.02, 2 * math.pi), (0.1, math.pi)]
+        traj = iterate_grafting(state, lam, 3)
+        assert angles == [
+            h for row in traj.hi[:-1] for h in (row[traj.ids.index("a")], row[traj.ids.index("b")])
+        ]
+        assert separations == [0.1]
+
+
+# The per-curve rule that the array rule replaced, kept as the reference for
+# its bits, its errors and their order: one LengthInterval per curve and step.
+def reference_factors(l_hi, t):
+    if not t > 0.0:
+        raise ValueError(f"grafting weight must be positive, got {t!r}")
+    upper = math.pi / (math.pi + t)
+    two_theta = 2.0 * collar_angle(l_hi)
+    return upper, (1.0 / (1.0 + l_hi)) * two_theta / (two_theta + t)
+
+
+def reference_propagated(where, lo, hi):
+    if lo < sys.float_info.min:
+        raise UnderflowError(
+            f"lower length bound {lo!r} {where} is below the smallest "
+            f"normal float64 {sys.float_info.min!r}"
+        )
+    return LengthInterval(lo, hi)
+
+
+def reference_step(state, lam):
+    for cid in sorted(lam.support):
+        if cid not in state.lengths:
+            raise ValueError(f"no length interval tracked for lamination curve {cid!r}")
+    state.require_short(lam.support)
+    new = {}
+    for cid, t in lam.items():
+        old = state.lengths[cid]
+        upper, lower = reference_factors(old.hi, t)
+        new[cid] = reference_propagated(f"of curve {cid!r}", lower * old.lo, upper * old.hi)
+    for cid in sorted(state.lengths.keys() - lam.support):
+        state.require_short([cid])
+        old = state.lengths[cid]
+        lower = max(separation_factor(old.hi), 1.0 / (1.0 + old.hi))
+        new[cid] = reference_propagated(f"of curve {cid!r}", lower * old.lo, old.hi)
+    return LengthState(new, state.epsilon)
+
+
+def reference_iterate(state, lam, n):
+    states = [state]
+    for step in range(1, n + 1):
+        try:
+            states.append(reference_step(states[-1], lam))
+        except UnderflowError as exc:
+            raise UnderflowError(f"step {step}: {exc}; use fewer steps") from exc
+    return states
+
+
+def reference_ray(state, lam, s_values):
+    states = [state]
+    for k, s in enumerate(s_values):
+        scaled = lam.scaled(s)
+        try:
+            states.append(reference_step(state, scaled))
+        except UnderflowError as exc:
+            raise UnderflowError(f"s_values[{k}]: {exc}") from exc
+    return states
+
+
+def outcome(run, *args):
+    """The bits of every lo and hi of ``run(*args)`` by row, or its error's type and text."""
+    try:
+        result = run(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    states = result.steps if hasattr(result, "steps") else result
+    return [
+        [(cid, iv.lo.hex(), float(iv.hi).hex()) for cid, iv in sorted(st.lengths.items())]
+        for st in states
+    ]
+
+
+@st.composite
+def grafting_runs(draw):
+    """A state of 1-8 curves, a lamination on some of them, and an iterate or ray run."""
+    n = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.text("abcxyz", min_size=1, max_size=2), min_size=n, max_size=n,
+                        unique=True))
+    support = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    epsilon = draw(st.sampled_from([0.1, 0.5, 2.0, 20.0]))  # 1/(1 + hi) > K(hi) past hi ~ 4
+    lengths = {}
+    for cid in ids:
+        # hi / epsilon above 1 (a curve that is not short) now and then, and near underflow
+        hi = epsilon * 10.0 ** draw(st.floats(-12.0, 0.3) | st.floats(-306.0, -280.0))
+        lengths[cid] = LengthInterval(hi * draw(st.floats(0.25, 1.0)), hi)
+    weights = st.floats(1e-3, 50.0) | st.floats(1e3, 1e30)
+    lam = WeightedMulticurve(
+        {cid: draw(weights) for cid, grafted in zip(ids, support) if grafted}
+    )
+    state = LengthState(lengths, epsilon)
+    if draw(st.booleans()):
+        return "iterate", state, lam, draw(st.integers(0, 30))
+    return "ray", state, lam, draw(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=30))
+
+
+class TestArrayRule:
+    """The array rule against the per-curve reference: same bits, same first error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grafting_runs())
+    def test_every_bound_has_the_reference_bits(self, run):
+        mode, state, lam, arg = run
+        if mode == "iterate":
+            expected = outcome(reference_iterate, state, lam, arg)
+            got = outcome(iterate_grafting, state, lam, arg)
+        else:
+            expected = outcome(reference_ray, state, lam, arg)
+            got = outcome(ray_grafting, state, lam, arg)
+        assert got == expected
+
+    def test_one_step_is_row_one_of_a_trajectory(self):
+        state = two_curve_state()
+        lam = WeightedMulticurve({"g": math.pi})
+        assert graft_length_bounds(state, lam) == iterate_grafting(state, lam, 1).steps[1]
+
+    @pytest.mark.parametrize(
+        "lengths, lam, error",
+        [
+            # a support curve that is not short fails before anything propagates
+            ({"a": (0.2, 0.2), "b": (1e-300, 1e-300)}, {"a": 1.0, "b": 1e30}, ShortnessError),
+            # a long disjoint curve fails after the support curves propagate ...
+            ({"a": (1e-300, 1e-300), "z": (0.3, 0.3)}, {"a": 1e30}, UnderflowError),
+            ({"a": (0.05, 0.05), "z": (0.3, 0.3)}, {"a": 1.0}, ShortnessError),
+            # ... and after the disjoint curves before it, in id order
+            ({"a": (0.05, 0.05), "b": (2.23e-308, 0.05), "c": (0.3, 0.3)}, {"a": 1.0},
+             UnderflowError),
+            ({"a": (0.05, 0.05), "b": (0.3, 0.3), "c": (2.23e-308, 0.05)}, {"a": 1.0},
+             ShortnessError),
+            # the message quotes the bound as the state holds it, an int here
+            ({"a": (0.05, 0.05), "b": (1, 2)}, {"a": 1.0}, ShortnessError),
+            ({"a": (0.05, 0.05)}, {"q": 1.0}, ValueError),
+        ],
+    )
+    def test_failing_inputs_raise_the_reference_error(self, lengths, lam, error):
+        state = LengthState({c: LengthInterval(*pair) for c, pair in lengths.items()}, 0.1)
+        lam = WeightedMulticurve(lam)
+        expected = outcome(reference_iterate, state, lam, 3)
+        assert expected[0] is error
+        assert outcome(iterate_grafting, state, lam, 3) == expected
+        assert outcome(ray_grafting, state, lam, [1.0, 2.0]) == outcome(
+            reference_ray, state, lam, [1.0, 2.0]
+        )
+        assert outcome(graft_length_bounds, state, lam) == outcome(reference_step, state, lam)
+
+    @pytest.mark.parametrize("l, t", [(1e-25, 3.4e38), (0.1, 2 * math.pi), (1e-300, 1e300)])
+    def test_single_curve_is_the_one_curve_step(self, l, t):
+        try:
+            expected = reference_propagated(
+                f"at l = {l!r}, t = {t!r}",
+                reference_factors(l, t)[1] * l,
+                reference_factors(l, t)[0] * l,
+            )
+        except UnderflowError as exc:
+            with pytest.raises(UnderflowError) as got:
+                single_curve_graft_bounds(l, t)
+            assert str(got.value) == str(exc)
+        else:
+            got = single_curve_graft_bounds(l, t)
+            assert (got.lo.hex(), got.hi.hex()) == (expected.lo.hex(), expected.hi.hex())
+        upper, lower = reference_factors(l, t)
+        assert graft_factors(l, t) == grafting.GraftFactors(upper=upper, lower=lower)
 
 
 class TestDisjointBounds:
