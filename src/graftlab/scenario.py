@@ -18,7 +18,7 @@ smallest normal float64, below which they have lost relative precision.
 ``s_values`` entry times every lamination weight is a positive finite
 float64, only mode ``ray`` reads ``s_values`` and every other mode reads
 ``steps`` (a field the mode does not read is an error), ``lattices`` is a
-non-empty list of values in [MIN_LATTICE, MAX_LATTICE], a
+non-empty, strictly increasing list of values in [MIN_LATTICE, MAX_LATTICE], a
 counterexample's two lamination weights differ, every
 ``support`` curve and no ``disjoint`` curve has a lamination weight, curve
 ids hold no ",", '"' or control character (below U+0020, or U+007F),
@@ -293,7 +293,9 @@ def load_map_spec(path, lattice: int | None = None) -> MapSpec:
 
     ``lattice`` is the ``--lattice`` flag, if one was given.  ``lattices``
     defaults to ``[lattice]``, or to ``[DEFAULT_LATTICE]`` without the flag;
-    a spec that lists ``lattices`` while the flag is given is an error.
+    a spec that lists ``lattices`` while the flag is given is an error.  The
+    lattices must strictly increase: ``convergence_order`` reads them as a
+    refinement sequence.
     """
     raw = _object(_read_json(path, "map spec"), "", ("kind",), ("params", "lattices"))
     kind = _string(raw["kind"], "kind", tuple(MAP_PARAMS))
@@ -310,4 +312,6 @@ def load_map_spec(path, lattice: int | None = None) -> MapSpec:
     lattices = _list(raw.get("lattices", [default]), "lattices", min_items=1)
     for i, n in enumerate(lattices):
         check_lattice(n, f"lattices[{i}]")
+        if i and not n > lattices[i - 1]:  # the observed orders assume a refinement sequence
+            raise _fail(f"lattices[{i}]", f"above lattices[{i - 1}] = {lattices[i - 1]}", n)
     return MapSpec(kind=kind, params=params, lattices=lattices)

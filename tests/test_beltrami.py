@@ -59,8 +59,13 @@ class TestEstimator:
             return t, -x
 
         grid = GridMap.from_function(1.0, 1.0, mirror, n_t=33, n_x=33, winding=-1)
-        with pytest.raises(NotSensePreservingError):
+        with pytest.raises(NotSensePreservingError, match="not a sense-preserving"):
             beltrami_estimate(grid)
+
+    def test_overflow_named_as_overflow(self):
+        # t' = t up to 1e308: the one-sided stencil at t = a overflows on the last row.
+        with pytest.raises(GridError, match=r"point \(32, 0\): the samples or their differences"):
+            beltrami_estimate(twist_map(1e308, 1.0, n_t=33, n_x=33).grid)
 
     def test_twist_exact_at_modest_lattice(self):
         m = twist_map(1.0, 2.0, n_t=65, n_x=65)
@@ -97,7 +102,7 @@ def reference_samples(grid: GridMap) -> np.ndarray:
 
 
 def reference_abs_mu(w: np.ndarray, dt: float, dx: float, winding: int) -> np.ndarray:
-    """beltrami._abs_mu over the whole lattice at once, with full-lattice temporaries."""
+    """The striped kernel's |mu| over the whole lattice at once, with full-lattice temporaries."""
     w = np.ascontiguousarray(w, dtype=np.complex128)
 
     w_t = np.empty_like(w)
@@ -134,6 +139,11 @@ def mirror_map(n: int) -> GridMap:
     return GridMap.from_function(1.0, 1.0, lambda t, x: (t, -x), n_t=n, n_x=n, winding=-1)
 
 
+def collapse_map(n: int) -> GridMap:
+    """(t, x) -> (0, 0) with winding 0: both Wirtinger derivatives vanish, |mu| = 0/0 = NaN."""
+    return GridMap.from_function(1.0, 1.0, lambda t, x: (0.0 * t, 0.0 * x), n_t=n, n_x=n, winding=0)
+
+
 def fold_map(n: int) -> GridMap:
     """x -> x + 3 t^2 sin(2 pi x) / (2 pi): folds, |mu| > 1, only where 3 t^2 > 1."""
 
@@ -152,22 +162,40 @@ MAPS = {
     ),
     "wave": wave_map,
     "mirror": mirror_map,
+    "collapse": collapse_map,
 }
-# One stripe, a stripe and a row either side of the stripe height, and a lone last row.
-SIZES = sorted({33, STRIPE_ROWS - 1, STRIPE_ROWS, STRIPE_ROWS + 1, 2 * STRIPE_ROWS + 1, 129})
+# One stripe, a stripe and a row either side of one and two stripe heights, and a
+# lone last row.  striped_abs_mu lowers MIN_LATTICE to reach the sizes below it.
+SIZES = sorted({33, 129} | {m * STRIPE_ROWS + d for m in (1, 2) for d in (-1, 0, 1)})
+
+
+def striped_abs_mu(grid: GridMap) -> np.ndarray:
+    """The |mu| that beltrami_estimate writes into ``out``, whether or not it raises."""
+    out = np.full((grid.n_t, grid.n_x), np.nan)
+    with mock.patch.object(beltrami, "MIN_LATTICE", 3):
+        try:
+            beltrami_estimate(grid, out=out)
+        except NotSensePreservingError:
+            pass
+    return out
 
 
 def assert_same_bits(grid: GridMap) -> None:
     w, samples = reference_samples(grid), grid.samples
     assert np.array_equal(samples.view(np.uint64), w.view(np.uint64))
-    args = (grid.dt, grid.dx, grid.winding)
-    got = beltrami._abs_mu(samples, *args)
-    assert np.array_equal(got.view(np.uint64), reference_abs_mu(w, *args).view(np.uint64))
+    got = striped_abs_mu(grid)
+    want = reference_abs_mu(w, grid.dt, grid.dx, grid.winding)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def whole_lattice_kernel(w, i0, i1, dt, dx, winding, out):
+    """A stand-in for beltrami._abs_mu that takes its rows from the whole-lattice reference."""
+    out[...] = reference_abs_mu(w, dt, dx, winding)[i0:i1]
 
 
 class TestStripes:
-    """Sampling and differentiating in stripes of rows gives the bits of the
-    whole-lattice reference, with stripe-sized temporaries."""
+    """Sampling, differentiating and reducing in stripes of rows gives the bits
+    and the verdict of the whole-lattice reference, with stripe-sized temporaries."""
 
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("name", MAPS)
@@ -178,25 +206,37 @@ class TestStripes:
     def test_same_bits_at_1025(self, build):
         assert_same_bits(build(1025))
 
-    @pytest.mark.parametrize("build", [mirror_map, fold_map])
+    @pytest.mark.parametrize("build", [mirror_map, fold_map, collapse_map])
     def test_same_failure_and_message(self, build):
         grid = build(2 * STRIPE_ROWS + 1)
         with pytest.raises(NotSensePreservingError) as striped:
             beltrami_estimate(grid)
-        with mock.patch.object(beltrami, "_abs_mu", reference_abs_mu):
+        # One stripe of the whole-lattice reference: its max and argmax are the lattice's.
+        with mock.patch.object(beltrami, "_abs_mu", whole_lattice_kernel), mock.patch.object(
+            beltrami, "STRIPE_ROWS", grid.n_t
+        ):
             with pytest.raises(NotSensePreservingError) as whole:
                 beltrami_estimate(grid)
         assert str(striped.value) == str(whole.value)
         assert "lattice point" in str(striped.value)
 
+    @pytest.mark.parametrize("name", ["twist", "shear", "composed", "wave"])
+    def test_same_sup_and_spread_as_whole_lattice(self, name):
+        grid = MAPS[name](2 * STRIPE_ROWS + 1)
+        abs_mu = reference_abs_mu(reference_samples(grid), grid.dt, grid.dx, grid.winding)
+        est = beltrami_estimate(grid)
+        assert est.sup_abs_mu == float(abs_mu.max())
+        assert est.mu_spread == float(abs_mu.max() - abs_mu.min())
+
     def test_estimate_memory(self):
-        # At 513^2 the samples (4.0 MiB) and |mu| (2.0 MiB) are the only
-        # full-lattice arrays.  Whole-lattice sampling and kernel peaked at
-        # 16.1 MiB here, the stripes at 7.2 MiB.
+        # At 513^2 the samples (4.0 MiB) are the only full-lattice array.
+        # Whole-lattice sampling and kernel peaked at 16.1 MiB here, the
+        # stripes with a full |mu| at 7.2 MiB, and with |mu| reduced stripe
+        # by stripe at 5.2 MiB.
         tracemalloc.start()
         try:
             beltrami_estimate(sin_shear(513, 0.2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 9 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"

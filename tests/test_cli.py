@@ -193,6 +193,8 @@ class TestInputContract:
                 {"mode": "ray", "s_values": [0.5], "steps": 99999},
                 "field steps is not read in mode 'ray'",
             ),
+            ("qc-check", {"lattices": [33, 33]}, "lattices[1] must be above lattices[0]"),
+            ("qc-check", {"lattices": [33, 65, 33]}, "lattices[2] must be above lattices[1]"),
         ],
     )
     def test_cli_names_the_field_in_one_line(self, tmp_path, capsys, command, change, field):
@@ -601,13 +603,41 @@ class TestQcCheckCommand:
         report = json.loads((out / "qc_report.json").read_text())
         assert report["lattices"] == [129]
 
-    @pytest.mark.parametrize("k", [1e9, 1e200, 1e-200])
+    @pytest.mark.filterwarnings("error")  # a warning printed beside the error line fails
+    @pytest.mark.parametrize("k", [1e9, 1e200, 1e-200, 1e308])
     def test_extreme_twist_finishes_or_exits_2(self, tmp_path, capsys, k):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"kind": "twist", "params": {"a": 1, "k": k}, "lattices": [33]}))
         code = main(["qc-check", "--scenario", str(path), "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 0 or (code == 2 and err.startswith("error: ") and err.count("\n") == 1)
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("twist", {"a": 1e308, "k": 1.0}),
+            ("twist", {"a": 1.0, "k": 1e308}),
+            ("scaling", {"a": 1e308, "b": 1e308}),
+            ("shear", {"a": 1e308, "amplitude": 0.1}),
+            ("twist", {"a": 1e-300, "k": 1e300}),
+            ("scaling", {"a": 1e308, "b": 1e-300}),
+        ],
+        ids=["twist_a", "twist_k", "scaling", "shear", "twist_tiny_a", "scaling_ratio"],
+    )
+    def test_overflowing_map_exits_2_with_one_line(self, tmp_path, kind, params):
+        # In a child process, so that a warning numpy prints reaches stderr.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": kind, "params": params, "lattices": [33]}))
+        argv = ["qc-check", "--scenario", str(path), "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "graftlab.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(graftlab.__file__).resolve().parents[1])),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "sense-preserving" not in proc.stderr
 
     def test_mu_rounding_to_one_is_named(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

@@ -173,8 +173,8 @@ class TestGridMap:
             GridMap.from_function(1.0, 1.0, lambda t, x: (t, x), n_t=2, n_x=33)
 
     def test_samples_do_not_outlive_the_estimate(self):
-        # Of a 513^2 map, only the estimate's |mu| (2.0 MiB) stays alive; cached
-        # samples would add 4.0 MiB.
+        # Of a 513^2 map, nothing lattice-sized stays alive once the estimate
+        # returns: cached samples would add 4.0 MiB and a kept |mu| 2.0 MiB.
         tracemalloc.start()
         try:
             grid = shearing_map(2.0, 0.05, n_t=513, n_x=513).grid
@@ -182,8 +182,8 @@ class TestGridMap:
             live = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        extra = live - est.abs_mu.nbytes
-        assert extra < 2**20, f"{extra / 2**20:.2f} MiB live beside |mu|"
+        assert est.sup_abs_mu < 1.0
+        assert live < 2**20, f"{live / 2**20:.2f} MiB live after the estimate"
 
 
 class TestComposition:
