@@ -16,6 +16,7 @@ MIN_LATTICE = 33
 # Largest lattice per side that an input file or flag may ask for; the
 # memory of one estimate grows with the square of the side.
 MAX_LATTICE = 2049
+MU_ROUNDING_ULPS = 4  # ulps of 1 that rounding may add to |mu|; see beltrami_estimate
 
 
 def _wirtinger(w: np.ndarray, i0: int, i1: int, dt: float, dx: float, winding: int):
@@ -94,6 +95,14 @@ def beltrami_estimate(grid_map, out: np.ndarray | None = None) -> BeltramiEstima
     share one stripe-sized buffer.  A non-finite |mu| is written as inf.
     Raises NotSensePreservingError if |mu| >= 1 anywhere on the grid, and
     GridError where the samples or their differences overflow float64.
+
+    w_t +- i w_x, the complex divide and abs round |mu|: against mpmath on
+    900 000 draws of the two Wirtinger terms (general, |mu| within ulps of
+    1, and scaling-like terms up to 1e300) the computed |mu| was at most 2
+    ulps (2**-52 each) above 1 where the exact quotient is at most 1.  A sup
+    |mu| up to 1 + MU_ROUNDING_ULPS ulps, twice the measured overshoot, is
+    named as not resolvable in float64; only a larger one names a map that
+    is not sense-preserving.
     """
     n_t, n_x = grid_map.n_t, grid_map.n_x
     if n_t < MIN_LATTICE or n_x < MIN_LATTICE:
@@ -124,11 +133,11 @@ def beltrami_estimate(grid_map, out: np.ndarray | None = None) -> BeltramiEstima
     sup = float(sup)
     if not sup < 1.0:
         i, j = worst
-        if sup == 1.0:
+        if sup <= 1.0 + MU_ROUNDING_ULPS * math.ulp(1.0):
             raise NotSensePreservingError(
-                f"|mu| rounds to 1.0 at lattice point ({i}, {j}): the estimate cannot "
-                "separate |mu| from 1 in float64, so the sampled map either degenerates "
-                "or has K beyond ~1e16 at this resolution"
+                f"|mu| = {sup!r} is within {MU_ROUNDING_ULPS} ulps of 1 at lattice point "
+                f"({i}, {j}): the estimate cannot separate |mu| from 1 in float64, so the "
+                "sampled map either degenerates or has K beyond ~1e15 at this resolution"
             )
         if not all(np.isfinite(term[0, j]) for term in _wirtinger(w, i, i + 1, *args)):
             raise GridError(

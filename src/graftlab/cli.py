@@ -68,6 +68,7 @@ def _cmd_verify(args) -> int:
             "lattice": args.lattice,
             "seed": args.seed,
             "constants": constants.as_dict(),
+            "kappa_is_placeholder": constants.kappa_is_placeholder,
             "tolerance_overrides": tolerances,
             "checks": results,
             "passed": len(failed) == 0,
@@ -105,41 +106,26 @@ def _cmd_simulate(args) -> int:
             "name": scenario.name,
             "source": scenario.source,
             "mode": scenario.mode,
-            "steps": scenario.steps,
-            "s_values": list(scenario.s_values),
             "epsilon": scenario.state.epsilon,
             "lamination": dict(scenario.lamination.weights),
         },
         "constants": constants.as_dict(),
-        "kappa_is_placeholder": constants.kappa_is_placeholder,
     }
 
     if scenario.mode == "ray":
+        report["scenario"]["s_values"] = list(scenario.s_values)
         traj = dynamics.ray_grafting(scenario.state, scenario.lamination, scenario.s_values)
         report["ray_reparametrization_slope_example"] = dynamics.ray_reparametrization(
             1, min(w for _, w in scenario.lamination.items()), 1.0
         )
     else:
+        report["scenario"]["steps"] = scenario.steps
         traj = dynamics.iterate_grafting(scenario.state, scenario.lamination, scenario.steps)
     if scenario.mode == "counterexample":
         block = dynamics.counterexample_analysis(traj)
         report["counterexample"] = {**block, "weights": dict(scenario.lamination.weights)}
         ratios = block["ratios"]
         write_csv(out_dir / "ratios.csv", ["step", "ratio"], _steps(len(ratios)), np.array(ratios))
-    elif scenario.mode == "accumulation":
-        cauchy = dynamics.endpoint_cauchy_analysis(traj, constants.C)
-        ((_, t),) = scenario.lamination.items()  # the loader admits one curve here
-        ratios = cauchy.consecutive_ratios
-        report["accumulation"] = {
-            "step_bounds": list(cauchy.step_bounds),
-            "consecutive_ratios": list(ratios),
-            "fitted_ratio": ratios[-1] if ratios else cauchy.expected_ratio,
-            "slopes": [(math.pi + t) / math.pi] * scenario.steps,
-            "offsets": [t] * scenario.steps,
-            "tail_sum": cauchy.tail_sums[0],
-            "tail_closed_form": cauchy.tail_closed_forms[0],
-            "notes": list(dynamics.ACCUMULATION_NOTES),
-        }
     elif scenario.mode == "cauchy":
         cauchy = dynamics.endpoint_cauchy_analysis(traj, constants.C)
         support = sorted(scenario.lamination.support)
@@ -151,6 +137,10 @@ def _cmd_simulate(args) -> int:
             "tail_closed_forms": list(cauchy.tail_closed_forms),
             "cusp_pairs": support,
             "boundary_count": 2 * len(support),
+            "reparametrization": {
+                cid: {"slope": (math.pi + t) / math.pi, "offset": t}
+                for cid, t in scenario.lamination.items()
+            },
         }
 
     report["final_lengths"] = {

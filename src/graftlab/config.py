@@ -4,9 +4,9 @@ The dilatation and radius estimates assert existence of universal constants
 without pinning numbers.  Every such constant is an explicit knob here, and
 every report echoes the values in force so the produced bounds stay
 interpretable.  ``kappa`` (round-subannulus modulus defect) has no known
-numeric value; its default is a placeholder.  ``simulate`` reports echo
-the ``kappa_is_placeholder`` flag but read no kappa; ``verify`` reads kappa
-(in the comparison budget) and echoes its value, not the flag.
+numeric value; its default is a placeholder.  ``verify`` reads kappa (in
+the comparison budget) and echoes the ``kappa_is_placeholder`` flag beside
+its value; ``simulate`` reads no kappa and echoes no flag.
 """
 
 from __future__ import annotations

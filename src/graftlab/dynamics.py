@@ -5,9 +5,10 @@ rule: a trajectory fills (steps + 1) x curves arrays of lo and hi, one
 GraftingRule step per row, the tube and lift radii add up the resulting
 distance bounds, and two analyses read columns of one trajectory: the
 endpoint analysis certifies the geometric-series structure of those
-bounds (simulate's accumulation block is read from it too), and the
-counterexample analysis follows the length quotient of two unequally
-weighted curves.
+bounds, and the counterexample analysis follows the length quotient of
+two unequally weighted curves.  The paper's accumulation statement is
+about the tail of the endpoint distances, the same series as the Cauchy
+bound, so simulate's ``cauchy`` block carries both.
 """
 
 from __future__ import annotations
@@ -38,14 +39,6 @@ __all__ = [
     "endpoint_cauchy_analysis",
     "geometric_convergence_threshold",
 ]
-
-# Convention notes carried into accumulation reports so the bounds stay interpretable.
-ACCUMULATION_NOTES = (
-    "affine reparametrization offset equals the full per-step grafting weight t, "
-    "not the bare angle 2*pi",
-    "collapse distance uses (1/2) log((2 theta + s)/(2 theta)), the orientation "
-    "that yields a nonnegative distance",
-)
 
 
 @dataclass(frozen=True, eq=False)

@@ -101,12 +101,18 @@ class GridMap:
 
         Checks the seam consistency w(t, 1) = w(t, 0) + 1j * winding on a
         column of probe points (tolerance 1e-10); the lattice itself is
-        sampled on each access to ``samples``.
+        sampled on each access to ``samples``.  A probe sample that is not
+        finite is named as an overflow, not as a seam fault.
         """
         t = np.linspace(0.0, modulus_domain, n_t)
-        with np.errstate(all="ignore"):  # a value that overflows makes the seam NaN
+        with np.errstate(all="ignore"):  # an overflow is named below, without a warning
             t0, x0 = map_fn(t, np.zeros_like(t))
             t1, x1 = map_fn(t, np.ones_like(t))
+            if not all(np.isfinite(v).all() for v in (t0, x0, t1, x1)):
+                raise GridError(
+                    "the samples on the x-seam are not finite: they overflow float64, so "
+                    "the map cannot be estimated on this lattice"
+                )
             seam = np.max(np.abs(t1 - t0)) + np.max(np.abs(x1 - (x0 + winding)))
         if not seam <= SEAM_TOL:
             raise GridError(

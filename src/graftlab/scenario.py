@@ -1,7 +1,8 @@
 """Scenario files and map specs: the one typed input contract.
 
 A scenario declares curves with roles, initial length intervals, the
-lamination weights, a run mode and optional constant overrides.  A map
+lamination weights, a run mode (one of MODES: ``iterate``, ``ray``,
+``counterexample`` and ``cauchy``) and optional constant overrides.  A map
 spec names a building-block map, its parameters and the lattices to
 sample it on.  Constants resolve in three layers: built-in defaults, then
 the JSON file named by the GRAFTLAB_CONSTANTS environment variable, then
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 MAX_STEPS = 100_000
-MODES = ("iterate", "ray", "counterexample", "accumulation", "cauchy")
+MODES = ("iterate", "ray", "counterexample", "cauchy")
 # Required and optional parameters of each map kind.
 MAP_PARAMS = {
     "twist": (("a", "k"), ()),
@@ -273,8 +274,6 @@ def load_scenario(path) -> Scenario:
             raise ScenarioError("mode 'counterexample' needs exactly two support curves")
         if len(set(weights.values())) != 2:
             raise ScenarioError("mode 'counterexample' needs two unequal lamination weights")
-    if mode == "accumulation" and len(weights) != 1:
-        raise ScenarioError("mode 'accumulation' needs a single-curve lamination")
 
     return Scenario(
         name=_string(raw["name"], "name") if "name" in raw else path.stem,

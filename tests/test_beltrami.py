@@ -14,7 +14,7 @@ from graftlab import (
     twist_map,
 )
 from graftlab import beltrami
-from graftlab.beltrami import convergence_order
+from graftlab.beltrami import MU_ROUNDING_ULPS, convergence_order
 from graftlab.errors import GridError
 from graftlab.qcmaps import STRIPE_ROWS, GridMap
 
@@ -61,6 +61,24 @@ class TestEstimator:
         grid = GridMap.from_function(1.0, 1.0, mirror, n_t=33, n_x=33, winding=-1)
         with pytest.raises(NotSensePreservingError, match="not a sense-preserving"):
             beltrami_estimate(grid)
+
+    @pytest.mark.parametrize("ulps", [MU_ROUNDING_ULPS // 2, MU_ROUNDING_ULPS, 2 * MU_ROUNDING_ULPS])
+    def test_rounding_budget_boundary(self, ulps):
+        # w = a t -+ i x has |mu| = ((a + 1) / (a - 1))**+-1, about 1 +- 2 / a.
+        a = 2.0 / (ulps * math.ulp(1.0))
+
+        def reversed_scaling(t, x):
+            return a * t, -x
+
+        def scaling(t, x):
+            return a * t, x
+
+        reversal = GridMap.from_function(1.0, a, reversed_scaling, n_t=33, n_x=33, winding=-1)
+        expected = "not a sense-preserving" if ulps > MU_ROUNDING_ULPS else "cannot separate"
+        with pytest.raises(NotSensePreservingError, match=expected):
+            beltrami_estimate(reversal)
+        est = beltrami_estimate(GridMap.from_function(1.0, a, scaling, n_t=33, n_x=33))
+        assert 1.0 - est.sup_abs_mu == pytest.approx(ulps * math.ulp(1.0), rel=0.2)
 
     def test_overflow_named_as_overflow(self):
         # t' = t up to 1e308: the one-sided stencil at t = a overflows on the last row.

@@ -15,7 +15,7 @@ from graftlab.beltrami import MAX_LATTICE, MIN_LATTICE
 from graftlab.cli import main
 from graftlab.errors import ScenarioError
 from graftlab.grafting import graft_factors
-from graftlab.scenario import MAX_STEPS, load_map_spec, load_scenario, resolve_constants
+from graftlab.scenario import MAX_STEPS, MODES, load_map_spec, load_scenario, resolve_constants
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -28,6 +28,15 @@ SCENARIO = {
     "steps": 5,
 }
 MAP_SPEC = {"kind": "shear", "params": {"a": 2.0, "amplitude": 0.3}, "lattices": [33, 65]}
+
+
+def shipped(command: str) -> set[str]:
+    """Names of the files in scenarios/ that ``command`` runs: a map spec has a kind."""
+    return {
+        path.stem
+        for path in SCENARIOS.glob("*.json")
+        if ("kind" in json.loads(path.read_text())) == (command == "qc-check")
+    }
 
 
 def write_scenario(tmp_path, **overrides):
@@ -195,6 +204,7 @@ class TestInputContract:
             ),
             ("qc-check", {"lattices": [33, 33]}, "lattices[1] must be above lattices[0]"),
             ("qc-check", {"lattices": [33, 65, 33]}, "lattices[2] must be above lattices[1]"),
+            ("simulate", {"mode": "accumulation"}, "mode"),
         ],
     )
     def test_cli_names_the_field_in_one_line(self, tmp_path, capsys, command, change, field):
@@ -215,9 +225,12 @@ class TestInputContract:
 
 class TestScenarioLoading:
     def test_load_shipped_scenarios(self):
-        for name in ("iterate_two_pi", "counterexample", "cauchy_endpoints", "accumulation"):
+        assert shipped("simulate") and shipped("qc-check")
+        for name in shipped("simulate"):
             scenario = load_scenario(SCENARIOS / f"{name}.json")
-            assert scenario.steps >= 1
+            assert (scenario.steps >= 1) != bool(scenario.s_values)
+        for name in shipped("qc-check"):
+            assert load_map_spec(SCENARIOS / f"{name}.json").lattices
 
     def test_empty_lamination_rejected(self, tmp_path):
         path = write_scenario(tmp_path, lamination={})
@@ -439,15 +452,33 @@ class TestSimulateCommand:
             "lamination": {"g": 2 * math.pi},
             "steps": 3,
         }
+        ray = {k: v for k, v in scenario.items() if k != "steps"}
+        docs = {
+            "iterate": scenario,
+            "cauchy": scenario,
+            "ray": dict(ray, s_values=[0.5, 1.0]),
+            "counterexample": dict(
+                scenario,
+                curves=[*scenario["curves"], {"id": "h", "role": "support"}],
+                lengths=dict(scenario["lengths"], h=[0.05, 0.1]),
+                lamination={"g": 2 * math.pi, "h": math.pi},
+            ),
+        }
+        assert set(docs) == set(MODES)
         tables = set()
-        for mode in ("iterate", "cauchy", "accumulation"):
+        for mode, doc in docs.items():
             path = tmp_path / f"{mode}.json"
-            path.write_text(json.dumps(dict(scenario, mode=mode)))
+            path.write_text(json.dumps(dict(doc, mode=mode)))
             out = tmp_path / mode
             assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
-            tables.add((out / "trajectory.csv").read_bytes())
             report = json.loads((out / "report.json").read_text())
-            assert set(report["final_lengths"]) == {"d", "g"}
+            # The scenario block echoes only the field that the mode reads.
+            echoed = {"s_values"} if mode == "ray" else {"steps"}
+            assert {"steps", "s_values"} & set(report["scenario"]) == echoed
+            assert set(report["final_lengths"]) == {c["id"] for c in doc["curves"]}
+            if doc is not scenario:
+                continue
+            tables.add((out / "trajectory.csv").read_bytes())
             step_1_g = (out / "trajectory.csv").read_text().splitlines()[4].split(",")
             assert step_1_g[:2] == ["1", "g"]
             assert float(step_1_g[2]) == graft_factors(0.1, 2 * math.pi).lower * 0.05
@@ -638,15 +669,21 @@ class TestQcCheckCommand:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "sense-preserving" not in proc.stderr
+        assert "overflow float64" in proc.stderr and "not consistent" not in proc.stderr
 
     def test_mu_rounding_to_one_is_named(self, tmp_path, capsys):
-        path = tmp_path / "spec.json"
-        spec = {"kind": "twist", "params": {"a": 1, "k": 1e9}, "lattices": [33]}
-        path.write_text(json.dumps(spec))
-        assert main(["qc-check", "--scenario", str(path), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "cannot separate |mu| from 1 in float64" in err
-        assert "not a sense-preserving" not in err
+        specs = [
+            {"kind": "twist", "params": {"a": 1, "k": 1e9}},  # sup |mu| rounds to 1.0
+            # Affine and sense-preserving; its sup |mu| rounds to one ulp above 1.
+            {"kind": "scaling", "params": {"a": 1e300, "b": 1e-8}},
+        ]
+        for spec in specs:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(dict(spec, lattices=[33])))
+            assert main(["qc-check", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert "cannot separate |mu| from 1 in float64" in err
+            assert "not a sense-preserving" not in err
 
     def test_unknown_kind_exit_2(self, tmp_path):
         spec = tmp_path / "unknown.json"
@@ -707,7 +744,13 @@ class TestGoldenOutputs:
     qcmaps suite gained comparison_budget_eighth_power_law; every other
     line stayed the same.  The four report.json digests and verify_all.json
     were retaken when Constants.K3 was removed; the dropped "K3" line of
-    the constants echo is their only change.
+    the constants echo is their only change.  The three report.json
+    digests and verify_all.json were retaken again when the accumulation
+    mode was folded into cauchy: report.json lost its "s_values" echo and
+    its "kappa_is_placeholder" line, which moved to verify_all.json (the
+    one report whose run reads kappa), and the cauchy report gained its
+    "reparametrization" entry.  No other line of any of them changed, and
+    every trajectory.csv and ratios.csv digest stayed as it was.
 
     The lattice-257 digests (66 049 rows, more than one block of
     report.BLOCK_ROWS) were taken at the parent of the change that made
@@ -737,7 +780,7 @@ class TestGoldenOutputs:
             "qc_report.json": "cb3a034e21a37d487b6e8657db8c7249e4a90b19fb163d70a6eb9e9909b58b2b",
         },
     }
-    VERIFY_ALL = "8ab4d8ce15466ebfcb6558dbb966aa8c4a657dce929c77f716c441123d8a13ac"
+    VERIFY_ALL = "6427451d836349e3a5749e47c41b98e52b03a154bdfc3d33869b5e2a82c9f53a"
 
     @pytest.fixture(autouse=True)
     def _default_constants(self, monkeypatch):
@@ -771,20 +814,16 @@ class TestGoldenOutputs:
     SIMULATE = {
         "iterate_two_pi": {
             "trajectory.csv": "4b4ffb672ae26b2b8c41ef7a02bfced7bbbd8410824dd32e59387b91062676af",
-            "report.json": "7f0f3d8f314c1ac04402cb1082d63936dd719b89fd9340d80a8050cc48d5b79a",
+            "report.json": "8caa3f9037c492c91be1b00fe8dc3f0bf77c4f215c684dda270378687a9b305a",
         },
         "counterexample": {
             "trajectory.csv": "7d5ff37ebbc5cd04a0c76454171c2fb2d7a9acdec8e43587b6d667cbeee6cdf8",
-            "report.json": "99a5345dcf6309e3bb4ab57379d68c06a2df22bea01d62f9e882b5e2c2e9ccd1",
+            "report.json": "ea73a8e8879ecbd54abcb8fcf285ad01b273f5cd1a4337c5d1b4dd0c3e8a5c9e",
             "ratios.csv": "389fefa2a4a3651779745846ccdf6d4363bdd9ae589cc724253f2372dae1db7d",
         },
         "cauchy_endpoints": {
             "trajectory.csv": "c450da3238aa92c94007f05ffd9a2208caa8711664467418b243817f58fee117",
-            "report.json": "082e5d9a9c8c4943e12e7312638b1e65fb1bba4dac565059e1a1911cc7f375f0",
-        },
-        "accumulation": {
-            "trajectory.csv": "4b4ffb672ae26b2b8c41ef7a02bfced7bbbd8410824dd32e59387b91062676af",
-            "report.json": "24fa3605a83b3a59b4f377e09fc95b9458ab0caad18dbdefd199c4429a994d54",
+            "report.json": "9218cb5f717a8a25349b7aac6a0e59e199620dd0d09eb65dd9e5b4c491e22da2",
         },
     }
 
@@ -820,6 +859,9 @@ class TestGoldenOutputs:
             "ac47c9ec0814e279d9cbcaf1a8369788b748b439824f4f0150ee53f97151ae9f",
         ),
     }
+
+    def test_every_shipped_scenario_has_goldens(self):
+        assert set(self.SIMULATE) == shipped("simulate")
 
     @pytest.mark.parametrize("name", sorted(SIMULATE))
     def test_simulate_shipped_scenarios(self, tmp_path, monkeypatch, name):

@@ -219,30 +219,31 @@ def one_curve(mode, steps, l=0.1):
 
 
 class TestAccumulation:
-    """The accumulation block of ``simulate``, read off the scenario's own trajectory."""
+    """The paper's accumulation statement, read off the ``cauchy`` block of
+    ``simulate`` on the scenario's own trajectory."""
 
     def test_bounds_follow_trajectory(self, run):
-        report = run(one_curve("accumulation", 10))["accumulation"]
+        report = run(one_curve("cauchy", 10))["cauchy"]
         for n, bound in enumerate(report["step_bounds"]):
             assert bound == pytest.approx((0.1 * 3.0**-n) ** 0.125, rel=1e-12)
 
     def test_consecutive_ratio_is_eighth_root_of_decay(self, run):
-        report = run(one_curve("accumulation", 10))["accumulation"]
+        report = run(one_curve("cauchy", 10))["cauchy"]
         for r in report["consecutive_ratios"]:
             assert r == pytest.approx(LIFT_Q_2PI, rel=1e-12)
 
     def test_slopes_exceed_one(self, run):
-        report = run(one_curve("accumulation", 5))["accumulation"]
-        assert all(a == pytest.approx(3.0, rel=1e-15) for a in report["slopes"])
-        assert all(o == TWO_PI for o in report["offsets"])
+        report = run(one_curve("cauchy", 5))["cauchy"]
+        assert report["reparametrization"]["g"]["slope"] == pytest.approx(3.0, rel=1e-15)
+        assert report["reparametrization"]["g"]["offset"] == TWO_PI
 
     def test_tail_matches_closed_form(self, run):
-        report = run(one_curve("accumulation", 20))["accumulation"]
-        assert report["tail_sum"] == pytest.approx(report["tail_closed_form"], rel=1e-12)
+        report = run(one_curve("cauchy", 20))["cauchy"]
+        assert report["tail_sums"][0] == pytest.approx(report["tail_closed_forms"][0], rel=1e-12)
 
     def test_small_start_shrinks_bounds(self, run):
-        big = run(one_curve("accumulation", 5, l=0.05))["accumulation"]
-        small = run(one_curve("accumulation", 5, l=0.005))["accumulation"]
+        big = run(one_curve("cauchy", 5, l=0.05))["cauchy"]
+        small = run(one_curve("cauchy", 5, l=0.005))["cauchy"]
         assert all(s < b for s, b in zip(small["step_bounds"], big["step_bounds"]))
 
 
