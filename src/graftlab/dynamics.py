@@ -1,8 +1,8 @@
 """Iterated grafting trajectories, tube radii and convergence analyses.
 
 Everything here is interval bookkeeping on top of the one-step propagation
-rule: a trajectory fills (steps + 1) x curves arrays of lo and hi, one
-GraftingRule step per row, the tube and lift radii add up the resulting
+rule: a trajectory is (steps + 1) x curves arrays of lo and hi, computed
+column by column (GraftingRule), the tube and lift radii add up the resulting
 distance bounds, and two analyses read columns of one trajectory: the
 endpoint analysis certifies the geometric-series structure of those
 bounds, and the counterexample analysis follows the length quotient of
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONSTANTS
-from .errors import UnderflowError
 from .hypgeom import collar_angle
 from .grafting import GraftingRule, LengthState, WeightedMulticurve, decay_factor
 
@@ -103,13 +102,7 @@ def iterate_grafting(state: LengthState, lam: WeightedMulticurve, n: int) -> Gra
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
     rule = GraftingRule(state, lam.support)
-    lo, hi = rule.rows(n)
-    weights = rule.weights(lam)
-    for step in range(1, n + 1):
-        try:
-            rule.step(lo[step - 1], hi[step - 1], lo[step], hi[step], *weights)
-        except UnderflowError as exc:
-            raise UnderflowError(f"step {step}: {exc}; use fewer steps") from exc
+    lo, hi = rule.iterate(lam, n, lambda k, message: f"step {k + 1}: {message}; use fewer steps")
     return GraftingTrajectory(lam, *rule.in_id_order(lo, hi), state.epsilon)
 
 
@@ -121,17 +114,16 @@ def ray_grafting(
     """One-step bounds for each scaled lamination s * lam from the same start."""
     if not s_values:
         raise ValueError("ray mode needs at least one s value")
+    s = np.array(s_values, float)
+    with np.errstate(over="ignore"):
+        t = np.multiply.outer(s, list(lam.weights.values()))
+    # The rows stop at the first s that lam.scaled rejects, which fails after them.
+    m = int(np.argmin(np.append(((t > 0.0) & (t < math.inf)).all(axis=1), False)))
     rule = GraftingRule(state, lam.support)
-    lo, hi = rule.rows(len(s_values))
-    for k, s in enumerate(s_values):
-        weights = rule.weights(lam.scaled(s))
-        try:
-            rule.step(lo[0], hi[0], lo[k + 1], hi[k + 1], *weights)
-        except UnderflowError as exc:
-            raise UnderflowError(f"s_values[{k}]: {exc}") from exc
-    return GraftingTrajectory(
-        lam, *rule.in_id_order(lo, hi), state.epsilon, tuple(float(s) for s in s_values)
-    )
+    lo, hi = rule.ray(lam, s[:m], lambda k, message: f"s_values[{k}]: {message}")
+    if m < len(s):
+        lam.scaled(s_values[m])
+    return GraftingTrajectory(lam, *rule.in_id_order(lo, hi), state.epsilon, tuple(s.tolist()))
 
 
 def ray_reparametrization(n: int, t_min: float, s: float) -> float:

@@ -7,11 +7,12 @@ short-curve factor as 1/(1 + hi)).  The lamination alone says which curves
 are grafted: every other tracked curve is disjoint from its support, as
 the scenario declares; topology is never computed.
 
-A grafting step is one operation on a row of float64 arrays, one entry per
-tracked curve (GraftingRule).  numpy's + - * / round as Python's float
-operations do, so a row holds the bits of the scalar formulas.  The
-transcendental functions stay in ``math``, one call per entry: numpy's
-versions can differ from them in the last bit, and by CPU.
+Graftings are computed as whole columns of a (rows x curves) float64 block
+(GraftingRule); in an iterated trajectory each column is one running product,
+``np.multiply.accumulate``, which multiplies in row order.  numpy's + - * / round
+as Python's float operations do, so a block holds the bits of the scalar formulas
+applied step by step.  The transcendental functions stay in ``math``, one call
+per entry: numpy's versions can differ from them in the last bit, and by CPU.
 """
 
 from __future__ import annotations
@@ -140,9 +141,9 @@ class GraftFactors:
     lower: float
 
 
-def decay_factor(t: float) -> float:
-    """Per-step upper-length factor pi / (pi + t); 1/3 for t = 2 pi."""
-    if not t > 0.0:
+def decay_factor(t):
+    """Per-step upper-length factor pi / (pi + t), entrywise for an array t; 1/3 for t = 2 pi."""
+    if not np.all(t > 0.0):
         raise ValueError(f"grafting weight must be positive, got {t!r}")
     return math.pi / (math.pi + t)
 
@@ -159,48 +160,39 @@ def graft_factors(l_hi: float, t: float) -> GraftFactors:
 
 
 def _lower_factors(l_hi: np.ndarray, t) -> np.ndarray:
-    """The lower factor of graft_factors at each entry of ``l_hi``."""
-    two_theta = np.array([2.0 * collar_angle(h) for h in l_hi.tolist()])
+    """The lower factor of graft_factors at each entry of ``l_hi``, taken in row-major order."""
+    two_theta = np.reshape([2.0 * collar_angle(h) for h in l_hi.ravel().tolist()], l_hi.shape)
     return (1.0 / (1.0 + l_hi)) * two_theta / (two_theta + t)
 
 
-def _require_enclosures(where: Sequence[str], lo: np.ndarray, hi: np.ndarray) -> None:
-    """Fail on the first entry j whose propagated [lo, hi] is no enclosure; where[j] names it.
-
-    Raises UnderflowError when lo is below the smallest normal float64,
-    where the bound has lost relative precision (or rounded to 0), and
-    otherwise LengthInterval's ValueError unless 0 < lo <= hi < inf.
-    """
+def _require_enclosures(where: Sequence[str], lo: np.ndarray, hi: np.ndarray, label=None) -> None:
+    """Fail on the first row k, and in it the first column j (named by where[j]), of the
+    propagated [lo, hi] that is no enclosure: with an UnderflowError, its message passed
+    through label(k, message) if given, when lo is below the smallest normal float64, where
+    it has lost relative precision (or rounded to 0), else unless 0 < lo <= hi < inf."""
     ok = (lo >= sys.float_info.min) & (lo <= hi) & (hi < math.inf)
     if not ok.all():
-        j = int(np.argmin(ok))
-        lo_j, hi_j = float(lo[j]), float(hi[j])
-        if lo_j < sys.float_info.min:
-            raise UnderflowError(
-                f"lower length bound {lo_j!r} {where[j]} is below the smallest "
+        k, j = divmod(int(np.argmin(ok)), ok.shape[1])
+        lo_kj, hi_kj = float(lo[k, j]), float(hi[k, j])
+        if lo_kj < sys.float_info.min:
+            message = (
+                f"lower length bound {lo_kj!r} {where[j]} is below the smallest "
                 f"normal float64 {sys.float_info.min!r}"
             )
-        LengthInterval(lo_j, hi_j)
-
-
-def _support_step(lo, hi, t, upper, new_lo: np.ndarray, new_hi: np.ndarray) -> None:
-    """The support-curve rule [lower * lo, upper * hi] into (new_lo, new_hi), factors at hi
-    (see graft_factors)."""
-    np.multiply(_lower_factors(hi, t), lo, out=new_lo)
-    np.multiply(upper, hi, out=new_hi)
+            raise UnderflowError(message if label is None else label(k, message))
+        LengthInterval(lo_kj, hi_kj)
 
 
 def single_curve_graft_bounds(l: float, t: float) -> LengthInterval:
-    """The support-curve rule for one curve of exact length l and weight t.
+    """The support-curve rule for one curve of exact length l and weight t: a one-row block.
 
-    Raises UnderflowError when the lower bound is below the smallest
-    normal float64.
+    Raises UnderflowError when the lower bound is below the smallest normal float64.
     """
-    point = np.array([LengthInterval.point(l).lo], float)
-    lo, hi = np.empty(1), np.empty(1)
-    _support_step(point, point, t, decay_factor(t), lo, hi)
-    _require_enclosures([f"at l = {l!r}, t = {t!r}"], lo, hi)
-    return LengthInterval(float(lo[0]), float(hi[0]))
+    LengthInterval.point(l)
+    factors = graft_factors(l, t)
+    lo, hi = factors.lower * l, factors.upper * l
+    _require_enclosures([f"at l = {l!r}, t = {t!r}"], np.array([[lo]]), np.array([[hi]]))
+    return LengthInterval(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -361,19 +353,17 @@ def split_sum(eta: WeightedMulticurve, lam: WeightedMulticurve) -> WeightedMulti
 
 
 class GraftingRule:
-    """One grafting step from ``state``, along a lamination on ``support``, on rows of arrays.
+    """Graftings from ``state``, along a lamination on ``support``, as blocks of whole columns.
 
-    Entry j of a row is the curve ids[j]: the support curves first, then
-    the others, each in id order, so that a step works on two slices.
-    ``lo`` and ``hi`` are the row of ``state``.  A step grafts the support
-    curves by [lower * lo, upper * hi] (see graft_factors).  Every other
-    curve is disjoint from the support: it keeps its hi and its lo is
-    scaled by max(K(hi), 1/(1 + hi)), computed once here because that hi
-    never changes.  Each step checks, in this order, for an untracked
-    lamination curve, for a support curve that is not short, and then
-    each curve in row order for its enclosure, except that a disjoint
-    curve that is not short fails in its place.  A shortness error quotes
-    the bound as ``state`` holds it.
+    Column j of a block is the curve ids[j]: the support curves, then the others,
+    each in id order.  Row 0 is ``state``.  A grafting takes a support curve to
+    [lower * lo, upper * hi] (see graft_factors), lower taken at that hi; any other
+    curve is disjoint from the support, keeps its hi and has its lo scaled by
+    max(K(hi), 1/(1 + hi)).  A block is checked once it is computed, and fails as
+    grafting row by row would: on an untracked lamination curve, on a support curve
+    that is not short, then on the first row, and in it the first column, that is no
+    enclosure, except that a disjoint curve that is not short fails after row 1's
+    enclosures.  A shortness error quotes the bound as ``state`` holds it.
     """
 
     def __init__(self, state: LengthState, support: frozenset[str]) -> None:
@@ -385,58 +375,74 @@ class GraftingRule:
         self.n_support = len(support_ids)
         self.lo = np.array([state.lengths[cid].lo for cid in self.ids], float)
         self.hi = np.array([state.lengths[cid].hi for cid in self.ids], float)
-        disjoint_hi = self.hi[self.n_support :].tolist()
-        self.disjoint_lower = np.array(
-            [max(separation_factor(h), 1.0 / (1.0 + h)) for h in disjoint_hi]
+        self.disjoint_lower = np.array(  # a disjoint curve's hi never changes
+            [max(separation_factor(h), 1.0 / (1.0 + h)) for h in self.hi[self.n_support :].tolist()]
         )
-        long = {cid for cid in self.ids if state.lengths[cid].hi > state.epsilon}
-        self.long_support = [cid for cid in support_ids if cid in long][:1]
-        n = next((k for k, cid in enumerate(disjoint_ids) if cid in long), len(disjoint_ids))
-        self.long_disjoint = disjoint_ids[n : n + 1]
-        self.checked = self.n_support + n  # the columns a step checks before long_disjoint
-        self.where = [f"of curve {cid!r}" for cid in self.ids[: self.checked]]
-
-    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays lo and hi of n + 1 rows, row 0 set to the state's."""
-        lo, hi = np.empty((n + 1, len(self.ids))), np.empty((n + 1, len(self.ids)))
-        lo[0], hi[0] = self.lo, self.hi
-        return lo, hi
+        long = [cid for cid in self.ids if state.lengths[cid].hi > state.epsilon]
+        self.long_support = [cid for cid in long if cid in support][:1]
+        self.long_disjoint = [cid for cid in long if cid not in support][:1]
+        self.where = [f"of curve {cid!r}" for cid in self.ids]
 
     def in_id_order(self, lo: np.ndarray, hi: np.ndarray):
         """(ids, lo, hi) with the columns of rows ``lo`` and ``hi`` in sorted id order."""
         order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
         return tuple(self.ids[j] for j in order), lo[:, order], hi[:, order]
 
-    def weights(self, lam: WeightedMulticurve) -> tuple[np.ndarray, np.ndarray]:
-        """The weights t of ``lam`` at the support curves and their upper factors pi/(pi + t)."""
-        t = [lam[cid] for cid in self.ids[: self.n_support]]
-        return np.array(t, float), np.array([decay_factor(w) for w in t])
+    def weights(self, lam: WeightedMulticurve, s=(1.0,)) -> tuple[np.ndarray, np.ndarray]:
+        """Row k of t: the weights of s[k] * ``lam`` at the support curves; and their
+        upper factors."""
+        t = np.multiply.outer(s, [lam[cid] for cid in self.ids[: self.n_support]])
+        return t, decay_factor(t)
 
-    def step(self, lo, hi, new_lo: np.ndarray, new_hi: np.ndarray, t, upper) -> None:
-        """Write the row after one grafting from row (lo, hi), with ``weights`` (t, upper),
-        into (new_lo, new_hi)."""
+    def _stack(self, row0: np.ndarray, support, disjoint, n: int) -> np.ndarray:
+        """Rows 0..n: ``row0``, then ``support`` and ``disjoint`` in their columns."""
+        out = np.empty((n + 1, len(self.ids)))
+        out[0], out[1:, : self.n_support], out[1:, self.n_support :] = row0, support, disjoint
+        return out
+
+    def iterate(self, lam: WeightedMulticurve, n: int, label=None):
+        """Rows 0..n of lo and hi, row k the state after k graftings along ``lam``: each
+        column a running product.  label(k, message) names an underflow in row k + 1."""
+        s = self.n_support
+        t, upper = self.weights(lam)
+        hi = np.multiply.accumulate(self._stack(self.hi, upper, 1.0, n), axis=0)
+        # The lo rows stop at a support hi of 0, a row that fails on its lo, so
+        # that no collar angle is taken there.
+        stop = int(np.argmax(np.append((hi[:-1, :s] == 0.0).any(axis=1), True)))
+        lower = _lower_factors(hi[:stop, :s], t)
+        lo = np.multiply.accumulate(self._stack(self.lo, lower, self.disjoint_lower, stop), axis=0)
+        self.require(lo[1:], hi[1 : stop + 1], label)
+        return lo, hi
+
+    def ray(self, lam: WeightedMulticurve, s: np.ndarray, label):
+        """Rows 0..len(s) of lo and hi, row k + 1 the state after one grafting along
+        s[k] * ``lam`` from row 0.  label(k, message) names an underflow in row k + 1."""
+        t, upper = self.weights(lam, s)
+        hi = self._stack(self.hi, upper, 1.0, len(s))
+        lower = _lower_factors(self.hi[None, : self.n_support], t)
+        lo = self._stack(self.lo, lower, self.disjoint_lower, len(s))
+        lo[1:], hi[1:] = lo[1:] * lo[0], hi[1:] * hi[0]
+        self.require(lo[1:], hi[1:], label)
+        return lo, hi
+
+    def require(self, lo: np.ndarray, hi: np.ndarray, label) -> None:
+        """Fail as the graftings that made rows ``lo`` and ``hi`` (row 0 left out) would."""
+        if not len(lo):
+            return
         if self.untracked:
             cid = self.untracked[0]
             raise ValueError(f"no length interval tracked for lamination curve {cid!r}")
         self.state.require_short(self.long_support)
-        s, c = self.n_support, self.checked
-        _support_step(lo[:s], hi[:s], t, upper, new_lo[:s], new_hi[:s])
-        np.multiply(self.disjoint_lower, lo[s:], out=new_lo[s:])
-        new_hi[s:] = hi[s:]
-        _require_enclosures(self.where, new_lo[:c], new_hi[:c])
-        self.state.require_short(self.long_disjoint)
+        if self.long_disjoint:  # fails in row 1, after the columns before it: its hi is fixed
+            c = self.ids.index(self.long_disjoint[0])
+            _require_enclosures(self.where, lo[:1, :c], hi[:1, :c], label)
+            self.state.require_short(self.long_disjoint)
+        _require_enclosures(self.where, lo, hi, label)
 
 
 def graft_length_bounds(state: LengthState, lam: WeightedMulticurve) -> LengthState:
-    """Propagate every tracked interval across one grafting along ``lam``.
-
-    The lamination's curves contract by [lower, pi/(pi+t)] (see
-    graft_factors); every other tracked curve is disjoint from its support,
-    keeps its upper bound and loses at most the separation factor.  Every
-    curve must be short.  Returns the state after the step: one step of
-    GraftingRule.
-    """
+    """Propagate every tracked interval across one grafting along ``lam``: row 1 of
+    GraftingRule.iterate (see there for the rule).  Every curve must be short."""
     rule = GraftingRule(state, lam.support)
-    lo, hi = rule.rows(1)
-    rule.step(lo[0], hi[0], lo[1], hi[1], *rule.weights(lam))
+    lo, hi = rule.iterate(lam, 1)
     return LengthState.from_row(rule.ids, lo[1], hi[1], state.epsilon)

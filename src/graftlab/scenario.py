@@ -253,14 +253,15 @@ def load_scenario(path) -> Scenario:
     if "s_values" in raw:
         items = _list(raw["s_values"], "s_values", 1, MAX_STEPS)
         s_values = tuple(float(_number(s, f"s_values[{i}]")) for i, s in enumerate(items))
-        lightest, heaviest = min(lamination.weights.values()), max(lamination.weights.values())
         for i, s in enumerate(s_values):
-            if not (s * lightest > 0.0 and math.isfinite(s * heaviest)):
+            try:
+                lamination.scaled(s)
+            except ValueError:
                 raise _fail(
                     f"s_values[{i}]",
                     "a number whose product with each lamination weight is positive and finite",
                     items[i],
-                )
+                ) from None
     unread = "steps" if mode == "ray" else "s_values"
     if unread in raw:
         raise ScenarioError(f"field {unread} is not read in mode {mode!r}")

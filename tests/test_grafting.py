@@ -343,6 +343,56 @@ class TestArrayRule:
         assert graft_factors(l, t) == grafting.GraftFactors(upper=upper, lower=lower)
 
 
+@st.composite
+def long_runs(draw):
+    """1-3 curves, at least one grafted, iterated 0-2000 steps.  In half of the runs each
+    lo starts where a lower factor near pi/(pi + t) takes it below the smallest normal
+    float64 at a drawn step up to 2500, so that many runs fail deep in the block."""
+    n = draw(st.integers(1, 3))
+    ids = ["a", "b", "c"][:n]
+    support = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    near_underflow = draw(st.booleans())
+    lengths, weights = {}, {}
+    for cid, grafted in zip(ids, support):
+        t = 10.0 ** draw(st.floats(-3.0, 0.0))
+        if grafted:
+            weights[cid] = t
+        if near_underflow:
+            lo = sys.float_info.min * (1.0 + t / math.pi) ** draw(st.integers(1, 2500))
+        else:
+            lo = 10.0 ** draw(st.floats(-12.0, -2.0))
+        lengths[cid] = LengthInterval(lo, lo / draw(st.floats(0.25, 1.0)))
+    state = LengthState(lengths, 0.1)
+    return state, WeightedMulticurve(weights), draw(st.integers(0, 2000))
+
+
+class TestLongRuns:
+    """Whole-column blocks against the per-curve reference: long iterates, and rays cut
+    short by an s that scales the lamination out of the positive finite reals."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(long_runs())
+    def test_every_bound_and_the_first_error_have_the_reference_bits(self, run):
+        state, lam, n = run
+        assert outcome(iterate_grafting, state, lam, n) == outcome(reference_iterate, state, lam, n)
+
+    @pytest.mark.parametrize("l", [0.05, 3e-308])
+    @pytest.mark.parametrize(
+        "s_values", [[-1.0], [1.0, 0.0], [1.0, 1e308, 2.0], [1.0, math.nan], [1.0, 5e-324]]
+    )
+    def test_a_ray_fails_on_an_s_after_the_rows_before_it(self, l, s_values):
+        # lam.scaled rejects every s here but 1.0 and 2.0; at l = 3e-308 the row of s = 1.0
+        # underflows first.
+        state = LengthState(
+            {"a": LengthInterval.point(l), "b": LengthInterval.point(0.05),
+             "d": LengthInterval.point(0.05)},
+            0.1,
+        )
+        lam = WeightedMulticurve({"a": 2.0, "b": 0.25})
+        expected = outcome(reference_ray, state, lam, s_values)
+        assert outcome(ray_grafting, state, lam, s_values) == expected
+
+
 class TestDisjointBounds:
     def test_frozen_separation_factor(self):
         assert separation_factor(0.1) == pytest.approx(SEP_K_01, rel=1e-14)
