@@ -90,11 +90,14 @@ def beltrami_estimate(grid_map, out: np.ndarray | None = None) -> BeltramiEstima
     at t = 0 and t = a, cyclic in x (seam-corrected by the winding).  The
     lattice is differentiated STRIPE_ROWS rows at a time, and each stripe's
     |mu| is reduced to its max and min as it is made, so only the samples
-    span the lattice.  ``out``, an n_t x n_x float64 array, receives the
-    pointwise |mu| when the caller needs the field; without it the stripes
-    share one stripe-sized buffer.  A non-finite |mu| is written as inf.
-    Raises NotSensePreservingError if |mu| >= 1 anywhere on the grid, and
-    GridError where the samples or their differences overflow float64.
+    span the lattice: at 1025^2 they take 16.8 MB, and a 16-row stripe's
+    three complex temporaries and float64 |mu| 0.92 MB.  ``out``, an
+    n_t x n_x float64 array, receives the pointwise |mu| when the caller
+    needs the field; without it the stripes share one stripe-sized buffer.
+    A non-finite |mu| is written as inf.  Raises NotSensePreservingError if
+    |mu| >= 1 anywhere on the grid, and GridError where the samples or
+    their differences overflow float64 at the first row-major lattice point
+    of a non-finite |mu|, which it names.
 
     w_t +- i w_x, the complex divide and abs round |mu|: against mpmath on
     900 000 draws of the two Wirtinger terms (general, |mu| within ulps of

@@ -2,12 +2,13 @@
 
 Each check evaluates one stated property at an explicit tolerance and
 reports a signed margin (nonnegative = pass).  Randomized samples are
-drawn from a seeded generator so reports stay deterministic.
+drawn from ``random.Random(seed)`` so reports stay deterministic.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,9 +182,9 @@ def suite_qcmaps(lattice: int, rng, tolerances, constants: Constants) -> list[Ch
     tol = tolerances["modulus_scale_invariance"]
     worst = 0.0
     for _ in range(32):
-        inner = float(rng.uniform(0.1, 5.0))
-        ratio = float(rng.uniform(1.1, 50.0))
-        c = float(rng.uniform(0.01, 100.0))
+        inner = rng.uniform(0.1, 5.0)
+        ratio = rng.uniform(1.1, 50.0)
+        c = rng.uniform(0.01, 100.0)
         a = annuli.RoundAnnulus(inner, inner * ratio)
         worst = max(worst, abs(annuli.modulus(a.scaled(c)) - annuli.modulus(a)))
     out.append(_within("modulus_scale_invariance", worst, tol))
@@ -191,7 +192,7 @@ def suite_qcmaps(lattice: int, rng, tolerances, constants: Constants) -> list[Ch
     tol = tolerances["modulus_additivity"]
     worst = 0.0
     for _ in range(32):
-        radii = np.sort(rng.uniform(0.5, 20.0, size=4))
+        radii = sorted(rng.uniform(0.5, 20.0) for _ in range(4))
         parts = sum(
             annuli.modulus(annuli.RoundAnnulus(radii[i], radii[i + 1])) for i in range(3)
         )
@@ -209,8 +210,8 @@ def suite_qcmaps(lattice: int, rng, tolerances, constants: Constants) -> list[Ch
     ann = annuli.RoundAnnulus(1.0, math.e**1.7)
     worst = 0.0
     for _ in range(64):
-        t = float(rng.uniform(0.0, ann.log_width))
-        x = float(rng.uniform(0.0, 1.0))
+        t = rng.uniform(0.0, ann.log_width)
+        x = rng.uniform(0.0, 1.0)
         z = annuli.from_log_coords(ann.log_width, t, x)
         t2, x2 = annuli.to_log_coords(ann, z)
         worst = max(worst, abs(t - t2), abs((x - x2 + 0.5) % 1.0 - 0.5))
@@ -591,9 +592,13 @@ def run_suite(
     ``tolerances`` overrides entries of :data:`TOLERANCES`; an unknown name,
     or a value that is not a finite number >= 0, raises ScenarioError.
     ``constants`` supplies every universal constant the checks take.
+    The random inputs are drawn from ``random.Random(seed)``, so one seed
+    gives one report; a negative seed raises ScenarioError.
     """
     tolerances = _resolve_tolerances(tolerances or {})
-    rng = np.random.default_rng(seed)
+    if seed < 0:  # random.Random would take -s as s
+        raise ScenarioError(f"seed must be an integer >= 0, got {seed}")
+    rng = random.Random(seed)
     if name == "all":
         results = []
         for suite_name in ("hypgeom", "qcmaps", "grafting", "dynamics"):

@@ -388,6 +388,47 @@ class TestVerifyCommand:
         assert "h_width_identity" in capsys.readouterr().err
         assert not (tmp_path / "verify_hypgeom.json").exists()
 
+    def test_verify_imports_no_numpy_random(self, tmp_path):
+        # The draws come from the standard library's random.Random: a run loads
+        # neither numpy.random nor the hashlib and secrets modules it imports.
+        probe = (
+            "import sys; from graftlab.cli import main; "
+            "code = main(['verify', 'all', '--lattice', '33', '--out', sys.argv[1]]); "
+            "loaded = [m for m in ('numpy.random', 'secrets', 'hashlib') if m in sys.modules]; "
+            "print('loaded:', *loaded); sys.exit(code)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(graftlab.__file__).resolve().parents[1])),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "loaded:"
+
+    def test_seed_fixes_the_report(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GRAFTLAB_CONSTANTS", raising=False)
+
+        def run(seed: int, out: str) -> bytes:
+            argv = ["verify", "all", "--lattice", "33", "--seed", str(seed)]
+            assert main([*argv, "--out", str(tmp_path / out)]) == 0
+            return (tmp_path / out / "verify_all.json").read_bytes()
+
+        def margin(report: bytes) -> float:
+            checks = json.loads(report)["checks"]
+            (check,) = [c for c in checks if c["name"] == "qcmaps.modulus_scale_invariance"]
+            return check["margin"]
+
+        first, again, other = run(0, "a"), run(0, "b"), run(1, "c")
+        assert first == again
+        assert margin(first) != margin(other)
+
+    def test_negative_seed_is_exit_2(self, tmp_path, capsys):
+        code = main(["verify", "qcmaps", "--seed", "-1", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+        assert not (tmp_path / "verify_qcmaps.json").exists()
+
 
 class TestSimulateCommand:
     def test_iterate_trajectory_csv(self, tmp_path):
@@ -751,6 +792,11 @@ class TestGoldenOutputs:
     one report whose run reads kappa), and the cauchy report gained its
     "reparametrization" entry.  No other line of any of them changed, and
     every trajectory.csv and ratios.csv digest stayed as it was.
+    verify_all.json was retaken once more when verify began drawing its
+    random inputs from random.Random(seed) in place of numpy's generator:
+    the margins of modulus_scale_invariance and modulus_additive_on_splits
+    are its only changed lines (log_coords_roundtrip, whose inputs are
+    drawn too, kept its margin).
 
     The lattice-257 digests (66 049 rows, more than one block of
     report.BLOCK_ROWS) were taken at the parent of the change that made
@@ -780,7 +826,7 @@ class TestGoldenOutputs:
             "qc_report.json": "cb3a034e21a37d487b6e8657db8c7249e4a90b19fb163d70a6eb9e9909b58b2b",
         },
     }
-    VERIFY_ALL = "6427451d836349e3a5749e47c41b98e52b03a154bdfc3d33869b5e2a82c9f53a"
+    VERIFY_ALL = "bf06159450c1739c6094d94542477833154d85dfe1f2af1a900506ec9614ddc9"
 
     @pytest.fixture(autouse=True)
     def _default_constants(self, monkeypatch):
