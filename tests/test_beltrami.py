@@ -196,7 +196,11 @@ MAPS = {
 }
 # One stripe, a stripe and a row either side of one and two stripe heights, and a
 # lone last row.  striped_abs_mu lowers MIN_LATTICE to reach the sizes below it.
-SIZES = sorted({33, 129} | {m * STRIPE_ROWS + d for m in (1, 2) for d in (-1, 0, 1)})
+# The sizes 31-33 and 63-65 stay whatever the stripe height: they are one and two
+# heights of 32-row stripes, and many stripes with a ragged last one of 16-row ones.
+SIZES = sorted(
+    {31, 32, 33, 63, 64, 65, 129} | {m * STRIPE_ROWS + d for m in (1, 2) for d in (-1, 0, 1)}
+)
 
 
 def striped_abs_mu(grid: GridMap) -> np.ndarray:
