@@ -13,7 +13,6 @@ from .hypgeom import (
 )
 from .annuli import (
     RoundAnnulus,
-    core_length,
     cylinder_boundary_distance,
     extended_cylinder_modulus,
     from_log_coords,
@@ -50,7 +49,6 @@ from .grafting import (
     graft_factors,
     graft_length_bounds,
     single_curve_graft_bounds,
-    split_sum,
     weighted_sum,
     wolpert_ratio,
 )

@@ -23,7 +23,6 @@ from .hypgeom import collar_angle
 __all__ = [
     "RoundAnnulus",
     "modulus",
-    "core_length",
     "to_log_coords",
     "from_log_coords",
     "extended_cylinder_modulus",
@@ -54,22 +53,10 @@ class RoundAnnulus:
     def log_width(self) -> float:
         return math.log(self.outer / self.inner)
 
-    def scaled(self, c: float) -> "RoundAnnulus":
-        if not c > 0.0:
-            raise ValueError(f"scale factor must be positive, got {c!r}")
-        return RoundAnnulus(c * self.inner, c * self.outer)
-
 
 def modulus(annulus: RoundAnnulus) -> float:
     """Conformal modulus of a round annulus: log(outer/inner) / (2 pi)."""
     return annulus.log_width / TWO_PI
-
-
-def core_length(mod: float) -> float:
-    """Hyperbolic length of the core geodesic of an annulus: l = pi / Mod."""
-    if not mod > 0.0:
-        raise ValueError(f"modulus must be positive, got {mod!r}")
-    return math.pi / mod
 
 
 def to_log_coords(annulus: RoundAnnulus, z: complex) -> tuple[float, float]:

@@ -115,9 +115,6 @@ def _cmd_simulate(args) -> int:
     if scenario.mode == "ray":
         report["scenario"]["s_values"] = list(scenario.s_values)
         traj = dynamics.ray_grafting(scenario.state, scenario.lamination, scenario.s_values)
-        report["ray_reparametrization_slope_example"] = dynamics.ray_reparametrization(
-            1, min(w for _, w in scenario.lamination.items()), 1.0
-        )
     else:
         report["scenario"]["steps"] = scenario.steps
         traj = dynamics.iterate_grafting(scenario.state, scenario.lamination, scenario.steps)

@@ -69,9 +69,6 @@ class GraftingTrajectory:
     def hi_series(self, cid: str) -> list[float]:
         return self.hi[:, self.ids.index(cid)].tolist()
 
-    def lo_series(self, cid: str) -> list[float]:
-        return self.lo[:, self.ids.index(cid)].tolist()
-
     def max_hi_series(self) -> list[float]:
         columns = [self.ids.index(cid) for cid in sorted(self.lamination.support)]
         return self.hi[:, columns].max(axis=1).tolist()

@@ -45,7 +45,6 @@ __all__ = [
     "collar_containment_check",
     "wolpert_ratio",
     "weighted_sum",
-    "split_sum",
     "GraftingRule",
     "graft_length_bounds",
 ]
@@ -340,16 +339,6 @@ def weighted_sum(eta: WeightedMulticurve, lam: WeightedMulticurve) -> WeightedMu
             for cid in eta.support
         }
     )
-
-
-def split_sum(eta: WeightedMulticurve, lam: WeightedMulticurve) -> WeightedMulticurve:
-    """Union of two weighted multicurves with disjoint supports."""
-    overlap = eta.support & lam.support
-    if overlap:
-        raise ValueError(f"split sum needs disjoint supports; shared curves: {sorted(overlap)}")
-    merged = dict(eta.weights)
-    merged.update(lam.weights)
-    return WeightedMulticurve(merged)
 
 
 class GraftingRule:

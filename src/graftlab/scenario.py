@@ -15,7 +15,8 @@ and Infinity, which RFC 8259 section 6 forbids) and a bool is not a
 number.  Lengths, weights, ``s_values``, ``epsilon``, constants and the map
 parameters ``a``, ``k`` and ``b`` must be > 0, and lengths at least the
 smallest normal float64, below which they have lost relative precision.
-``steps`` and the number of ``s_values`` are at most MAX_STEPS, each
+``steps`` and the number of ``s_values`` are at most MAX_STEPS, the
+trajectory's (rows x curves) cells at most MAX_CELLS, each
 ``s_values`` entry times every lamination weight is a positive finite
 float64, only mode ``ray`` reads ``s_values`` and every other mode reads
 ``steps`` (a field the mode does not read is an error), ``lattices`` is a
@@ -44,6 +45,7 @@ from .grafting import LengthInterval, LengthState, WeightedMulticurve
 from .qcmaps import DEFAULT_LATTICE
 
 __all__ = [
+    "MAX_CELLS",
     "MAX_STEPS",
     "MapSpec",
     "Scenario",
@@ -54,6 +56,8 @@ __all__ = [
 ]
 
 MAX_STEPS = 100_000
+# A trajectory cell costs about 90 B of RSS end to end, so this caps a run near 0.9 GB.
+MAX_CELLS = 10_000_000
 MODES = ("iterate", "ray", "counterexample", "cauchy")
 # Required and optional parameters of each map kind.
 MAP_PARAMS = {
@@ -249,9 +253,15 @@ def load_scenario(path) -> Scenario:
 
     mode = _string(raw["mode"], "mode", MODES)
     steps = _integer(raw.get("steps", 0), "steps", 0, MAX_STEPS)
+    items = _list(raw["s_values"], "s_values", 1, MAX_STEPS) if "s_values" in raw else []
+    rows, size = (len(items) + 1, "len(s_values)") if mode == "ray" else (steps + 1, "steps")
+    if rows * len(roles) > MAX_CELLS:
+        raise ScenarioError(
+            f"({size} + 1) x curves = {rows} x {len(roles)} = {rows * len(roles)} "
+            f"exceeds MAX_CELLS {MAX_CELLS}"
+        )
     s_values: tuple[float, ...] = ()
     if "s_values" in raw:
-        items = _list(raw["s_values"], "s_values", 1, MAX_STEPS)
         s_values = tuple(float(_number(s, f"s_values[{i}]")) for i, s in enumerate(items))
         for i, s in enumerate(s_values):
             try:

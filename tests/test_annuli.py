@@ -23,14 +23,6 @@ class TestRoundAnnulus:
         with pytest.raises(ValueError):
             annuli.RoundAnnulus(0.0, 1.0)
 
-    def test_scaled_keeps_modulus(self):
-        a = annuli.RoundAnnulus(3.0, 12.0)
-        unit = a.scaled(1.0 / a.inner)
-        assert annuli.modulus(unit) == pytest.approx(annuli.modulus(a), rel=1e-15)
-        assert unit.inner == 1.0
-        with pytest.raises(ValueError):
-            a.scaled(0.0)
-
 
 class TestModulus:
     def test_full_turn(self):
@@ -44,7 +36,8 @@ class TestModulus:
 
     def test_scale_invariance(self):
         a = annuli.RoundAnnulus(1.0, 2.0)
-        assert annuli.modulus(a.scaled(3.7)) == pytest.approx(annuli.modulus(a), abs=1e-12)
+        scaled = annuli.RoundAnnulus(3.7 * a.inner, 3.7 * a.outer)
+        assert annuli.modulus(scaled) == pytest.approx(annuli.modulus(a), abs=1e-12)
 
     @given(
         st.floats(min_value=0.05, max_value=10.0),
@@ -53,7 +46,8 @@ class TestModulus:
     )
     def test_scale_invariance_property(self, inner, ratio, c):
         a = annuli.RoundAnnulus(inner, inner * ratio)
-        assert annuli.modulus(a.scaled(c)) == pytest.approx(annuli.modulus(a), abs=1e-12)
+        scaled = annuli.RoundAnnulus(c * a.inner, c * a.outer)
+        assert annuli.modulus(scaled) == pytest.approx(annuli.modulus(a), abs=1e-12)
 
     def test_additive_over_concentric_splits(self):
         rng = np.random.default_rng(7)
@@ -64,17 +58,6 @@ class TestModulus:
             )
             whole = annuli.modulus(annuli.RoundAnnulus(radii[0], radii[3]))
             assert parts == pytest.approx(whole, abs=1e-12)
-
-
-class TestCoreLength:
-    def test_trivial_points(self):
-        assert annuli.core_length(math.pi) == pytest.approx(1.0, rel=1e-15)
-        assert annuli.core_length(1.0) == pytest.approx(math.pi, rel=1e-15)
-
-    def test_roundtrip_identity(self):
-        for outer in np.geomspace(1.1, 1e4, 40):
-            mod = annuli.modulus(annuli.RoundAnnulus(1.0, float(outer)))
-            assert annuli.core_length(mod) * mod == pytest.approx(math.pi, abs=1e-12)
 
 
 class TestLogCoords:

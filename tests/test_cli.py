@@ -1,3 +1,4 @@
+import ast
 import copy
 import hashlib
 import json
@@ -11,11 +12,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import graftlab
+from graftlab import verify
 from graftlab.beltrami import MAX_LATTICE, MIN_LATTICE
 from graftlab.cli import main
 from graftlab.errors import ScenarioError
 from graftlab.grafting import graft_factors
-from graftlab.scenario import MAX_STEPS, MODES, load_map_spec, load_scenario, resolve_constants
+from graftlab.scenario import (
+    MAX_CELLS,
+    MAX_STEPS,
+    MODES,
+    load_map_spec,
+    load_scenario,
+    resolve_constants,
+)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -326,10 +335,9 @@ class TestVerifyCommand:
         "grafting.sandwich_lo_leq_hi_and_hi_strictly_decreases",
         "grafting.lower_bound_below_scaled_lower_endpoint",
         "dynamics.trajectory_upper_chain_exact",
-        "dynamics.trajectory_lower_chain_positive_and_product",
         "dynamics.cauchy_consecutive_ratio_exact",
         "dynamics.cauchy_tails_match_closed_form",
-        "dynamics.tube_radius_is_sum_of_terms",
+        "dynamics.tube_radius_at_equal_weights_is_first_lift_term",
     ]
 
     @pytest.mark.parametrize(
@@ -380,13 +388,31 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "override",
-        ["bogus=1", "h_width_identity=nan", "h_width_identity=inf", "h_width_identity=-1e-3"],
+        [
+            "bogus=1",
+            "modulus_scale_invariance=1e-12",  # names whose checks are gone
+            "core_length_roundtrip=1e-12",
+            "h_width_identity=nan",
+            "h_width_identity=inf",
+            "h_width_identity=-1e-3",
+        ],
     )
     def test_bad_tolerance_name_or_value_is_exit_2(self, tmp_path, capsys, override):
         code = main(["verify", "hypgeom", "--out", str(tmp_path), "--tolerance", override])
         assert code == 2
         assert "h_width_identity" in capsys.readouterr().err
         assert not (tmp_path / "verify_hypgeom.json").exists()
+
+    def test_every_tolerance_is_read_by_a_check(self):
+        # A TOLERANCES entry that no check reads would be a --tolerance name
+        # that is accepted and changes nothing.
+        tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+        read = {
+            node.slice.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "tolerances"
+        }
+        assert read == verify.TOLERANCES.keys()
 
     def test_verify_imports_no_numpy_random(self, tmp_path):
         # The draws come from the standard library's random.Random: a run loads
@@ -416,7 +442,7 @@ class TestVerifyCommand:
 
         def margin(report: bytes) -> float:
             checks = json.loads(report)["checks"]
-            (check,) = [c for c in checks if c["name"] == "qcmaps.modulus_scale_invariance"]
+            (check,) = [c for c in checks if c["name"] == "qcmaps.modulus_additive_on_splits"]
             return check["margin"]
 
         first, again, other = run(0, "a"), run(0, "b"), run(1, "c")
@@ -533,6 +559,45 @@ class TestSimulateCommand:
         assert report["scenario"]["s_values"] == [0.5, 1.0, 2.0]
         lines = (tmp_path / "trajectory.csv").read_text().strip().splitlines()
         assert len(lines) == 5  # header + initial + one state per s value
+
+    @staticmethod
+    def wide_scenario(tmp_path, mode: str, curves: int, rows: int) -> Path:
+        """A ``mode`` scenario of ``curves`` support curves whose trajectory has ``rows`` rows."""
+        ids = [f"c{i}" for i in range(curves)]
+        doc = {
+            "curves": [{"id": cid, "role": "support"} for cid in ids],
+            "lengths": {cid: [0.01, 0.01] for cid in ids},
+            "lamination": {cid: 1.0 for cid in ids},
+            "mode": mode,
+        }
+        doc.update({"s_values": [1.0] * (rows - 1)} if mode == "ray" else {"steps": rows - 1})
+        path = tmp_path / f"{mode}_{curves}x{rows}.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("mode, size", [("iterate", "steps"), ("ray", "len(s_values)")])
+    def test_too_many_cells_exit_2_before_any_trajectory(
+        self, tmp_path, capsys, monkeypatch, mode, size
+    ):
+        # MAX_CELLS + 1 = 11 x 909 091, so with at most MAX_STEPS + 1 rows the
+        # least product above MAX_CELLS is 141 curves x 70 922 rows, 2 cells over.
+        path = self.wide_scenario(tmp_path, mode, 141, 70_922)
+
+        def computed(*args):
+            raise AssertionError("a trajectory was computed")
+
+        monkeypatch.setattr(graftlab.dynamics, "iterate_grafting", computed)
+        monkeypatch.setattr(graftlab.dynamics, "ray_grafting", computed)
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ({size} + 1) x curves = 70922 x 141 = 10000002 exceeds MAX_CELLS 10000000\n"
+        )
+        assert not out.exists()
+
+    def test_exactly_max_cells_loads(self, tmp_path):
+        scenario = load_scenario(self.wide_scenario(tmp_path, "iterate", 100, 100_000))
+        assert (scenario.steps + 1) * len(scenario.state.lengths) == MAX_CELLS
 
     def test_malformed_scenario_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -796,7 +861,11 @@ class TestGoldenOutputs:
     random inputs from random.Random(seed) in place of numpy's generator:
     the margins of modulus_scale_invariance and modulus_additive_on_splits
     are its only changed lines (log_coords_roundtrip, whose inputs are
-    drawn too, kept its margin).
+    drawn too, kept its margin).  verify_all.json was retaken again when
+    nine checks that restated one formula gave way to three that compare
+    two functions (37 checks became 31, and 352 random draws 256): besides
+    the entries removed and added, the margin of log_coords_roundtrip, whose
+    draws now come earlier in the stream, is its only changed line.
 
     The lattice-257 digests (66 049 rows, more than one block of
     report.BLOCK_ROWS) were taken at the parent of the change that made
@@ -826,7 +895,7 @@ class TestGoldenOutputs:
             "qc_report.json": "cb3a034e21a37d487b6e8657db8c7249e4a90b19fb163d70a6eb9e9909b58b2b",
         },
     }
-    VERIFY_ALL = "bf06159450c1739c6094d94542477833154d85dfe1f2af1a900506ec9614ddc9"
+    VERIFY_ALL = "0542261c0df6674393c4843c53c8c38625ba47e6ee6aa3364ff71e111335d03f"
 
     @pytest.fixture(autouse=True)
     def _default_constants(self, monkeypatch):

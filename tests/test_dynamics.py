@@ -70,7 +70,7 @@ class TestIterateGrafting:
     def test_lower_chain_positive_product(self):
         traj = iterate_grafting(single_state(), WeightedMulticurve({"g": TWO_PI}), 15)
         his = traj.hi_series("g")
-        los = traj.lo_series("g")
+        los = traj.lo[:, traj.ids.index("g")].tolist()
         prod = 0.1
         for n in range(1, 16):
             prod *= graft_factors(his[n - 1], TWO_PI).lower

@@ -21,7 +21,6 @@ from graftlab import (
     ray_grafting,
     separation_factor,
     single_curve_graft_bounds,
-    split_sum,
     weighted_sum,
     wolpert_ratio,
 )
@@ -528,13 +527,3 @@ class TestMulticurveAlgebra:
     def test_weighted_sum_support_mismatch(self):
         with pytest.raises(ValueError):
             weighted_sum(WeightedMulticurve({"a": 1.0}), WeightedMulticurve({"b": 1.0}))
-
-    def test_split_sum(self):
-        union = split_sum(WeightedMulticurve({"a": 1.0}), WeightedMulticurve({"b": 2.0}))
-        assert union.weights == {"a": 1.0, "b": 2.0}
-        reversed_union = split_sum(WeightedMulticurve({"b": 2.0}), WeightedMulticurve({"a": 1.0}))
-        assert union.weights == reversed_union.weights
-
-    def test_split_sum_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            split_sum(WeightedMulticurve({"a": 1.0}), WeightedMulticurve({"a": 2.0}))
