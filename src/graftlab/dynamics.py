@@ -112,10 +112,8 @@ def ray_grafting(
     if not s_values:
         raise ValueError("ray mode needs at least one s value")
     s = np.array(s_values, float)
-    with np.errstate(over="ignore"):
-        t = np.multiply.outer(s, list(lam.weights.values()))
     # The rows stop at the first s that lam.scaled rejects, which fails after them.
-    m = int(np.argmin(np.append(((t > 0.0) & (t < math.inf)).all(axis=1), False)))
+    m = lam.first_unscalable(s)
     rule = GraftingRule(state, lam.support)
     lo, hi = rule.ray(lam, s[:m], lambda k, message: f"s_values[{k}]: {message}")
     if m < len(s):

@@ -95,6 +95,19 @@ class WeightedMulticurve:
             raise ValueError(f"scale must be positive, got {s!r}")
         return WeightedMulticurve({cid: s * w for cid, w in self.weights.items()})
 
+    def first_unscalable(self, s: Sequence[float] | np.ndarray) -> int:
+        """The index of the first entry of ``s`` that ``scaled`` rejects, or len(s).
+
+        ``scaled`` accepts s when s * w is positive and finite for every
+        weight w.  Rounding is monotonic, so for s > 0 each product lies
+        between those with the least and the greatest weight, and only those
+        two are formed.
+        """
+        w = list(self.weights.values())
+        with np.errstate(over="ignore"):
+            t = np.multiply.outer(s, [min(w), max(w)])
+        return int(np.argmin(np.append((t[:, 0] > 0.0) & (t[:, 1] < math.inf), False)))
+
 
 @dataclass(frozen=True)
 class LengthState:

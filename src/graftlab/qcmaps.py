@@ -85,10 +85,15 @@ class GridMap:
         return 1.0 / self.n_x
 
     def table(self, *fields: np.ndarray) -> list[np.ndarray]:
-        """Columns i * dt, j * dx and each fields[i, j] over the lattice in row-major order."""
-        t = np.repeat(np.arange(self.n_t) * self.dt, self.n_x)
-        x = np.tile(np.arange(self.n_x) * self.dx, self.n_t)
-        return [t, x, *(f.ravel() for f in fields)]
+        """Lattice-shaped columns i * dt, j * dx and each fields[i, j], for ``report.write_csv``.
+
+        t and x are read-only broadcast views of one lattice axis each, so
+        neither is materialized; the fields are returned as they are.
+        """
+        shape = (self.n_t, self.n_x)
+        t = np.broadcast_to((np.arange(self.n_t) * self.dt)[:, None], shape)
+        x = np.broadcast_to(np.arange(self.n_x) * self.dx, shape)
+        return [t, x, *fields]
 
     @classmethod
     def from_function(

@@ -7,24 +7,22 @@ for binary64), and nothing time-dependent enters the files (wall-clock
 timings go to the console only).  JSON is strict RFC 8259: a NaN or an
 infinity is written as null there, and as NaN or [-]Infinity in CSV cells.
 
-csv_lines is the only CSV writer.  A table is one equal-length 1-D column
-per header field: float64 values, or cells already written as "S" bytes
+csv_lines is the only CSV writer.  A table is one column per header field,
+all of one shape: float64 values, or cells already written as "S" bytes
 (step numbers, curve ids), copied as they are, so they must not hold ",",
-a newline or NUL.  Each block of BLOCK_ROWS rows is one byte array in
-which every column fills its NUL-padded slice of each row and a "," or
-"\n" follows it; the NULs are then dropped, a quarter of the rows at a
-time.  Within a block a float column is deduplicated on the float64 bit
-pattern (so -0.0 and 0.0 stay distinct) and each distinct value is
-formatted once.
-
-Blocks are formatted concurrently on a pool of WORKERS threads, one per
-CPU, and written in order; at most one block per worker is in flight,
-the one being written included, so a table's memory grows with the
-worker count and not with its length.  Threads pay because nearly all of
-a block's time is spent inside numpy calls that release the GIL: the
-digit arithmetic and gathers, the NUL compaction and np.unique.  A block's
-bytes depend only on its rows, so the file does not depend on the worker
-count.
+a newline or NUL.  The table's rows are the columns' elements in
+row-major order, so a column may be lattice-shaped, and a broadcast view
+(a lattice axis repeated down or along the rows) is never materialized.
+The table is written in blocks of about BLOCK_ROWS rows, a slice along
+the leading axis each, formatted one at a time and in order.  A block is
+one byte array in which every column fills its NUL-padded slot of each
+row and a "," or "\n" follows it; the NULs are then dropped, a quarter of
+the rows at a time.  A float column is deduplicated on the float64 bit
+pattern (so -0.0 and 0.0 stay distinct) of its block's base, the block
+with each broadcast axis cut to length 1, and each distinct value is
+formatted once; a column broadcast along the leading axis has the same
+base in every block and is formatted once per table.  A float slot is as
+wide as the widest cell of its block.
 
 The distinct values are formatted in numpy by an exact %.17g on the fast
 path: finite, non-integral values with 1e-6 < |x| < 1e16.  Every other
@@ -58,9 +56,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from collections import deque
-from contextlib import closing
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import Iterator
@@ -70,8 +65,6 @@ import numpy as np
 __all__ = ["format_float", "dumps", "write_json", "csv_lines", "write_csv", "jsonable"]
 
 BLOCK_ROWS = 1 << 14  # rows formatted and written per block of CSV text
-# Threads that format blocks: one per CPU this process may run on.
-WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _WIDTH = 24  # bytes of the widest cell, "-2.2250738585072014e-308"
 INDENT = 2  # spaces per nesting level of JSON text
 
@@ -173,8 +166,13 @@ def _times_pow10(ax: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     a = np.ldexp(ax, k)
     p = a * _POW5[k]
     a_hi, a_lo = _split(a)
+    del a
     b_hi, b_lo = _POW5_HI[k], _POW5_LO[k]
-    return p, a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+    # a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo), with fewer temporaries
+    err = p - a_hi * b_hi
+    err -= a_lo * b_hi
+    err -= a_hi * b_lo
+    return p, np.subtract(a_lo * b_lo, err, out=err)
 
 
 def _exact_digits(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,22 +211,28 @@ del _e, _cols
 def _fast_cells(x: np.ndarray) -> np.ndarray:
     """The cells of values in the fast-path domain, as rows of _WIDTH NUL-padded bytes."""
     n, e = _exact_digits(np.abs(x))
+    # The digits in groups of 1, 4, 4, 4 and 4, written in place: the
+    # temporaries of this step set the peak memory of a block.
+    groups = np.empty((len(x), 5), np.int64)
     high, low = np.divmod(n, 10**8)
-    lead, high = np.divmod(high, 10**8)
-    groups = np.stack([lead, *np.divmod(high, 10**4), *np.divmod(low, 10**4)], axis=1)
-    del n, high, low, lead  # blocks are formatted side by side: free temporaries early
+    del n
+    np.divmod(high, 10**8, out=(groups[:, 0], high))
+    np.divmod(high, 10**4, out=(groups[:, 1], groups[:, 2]))
+    np.divmod(low, 10**4, out=(groups[:, 3], groups[:, 4]))
+    del high, low
     digits = _DIGITS[groups].view(np.uint8)[:, 3:]
     del groups
     last = 16 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)  # last nonzero digit
     source = np.empty((len(x), _NUL + 1), np.uint8)
-    source[:, :17] = digits * (np.arange(17) <= np.maximum(last, e)[:, None])
+    np.multiply(digits, np.arange(17) <= np.maximum(last, e)[:, None], out=source[:, :17])
     source[:, _DOT] = np.where(last > np.where(e < -4, 0, e), ord("."), 0)
+    del digits, last
     source[:, _ZERO:_SIGN] = np.frombuffer(b"0e-56", np.uint8)
     source[:, _SIGN] = np.where(x < 0, ord("-"), 0)
     source[:, _NUL] = 0
-    # Distinct values come sorted, so each exponent is one run of rows.
+    # Distinct values come sorted, so each exponent is one run of rows (no run if x is empty).
     cells = np.empty((len(x), _WIDTH), np.uint8)
-    bounds = [0, *(np.flatnonzero(np.diff(e)) + 1).tolist(), len(x)]
+    bounds = [*np.flatnonzero(np.diff(e, prepend=e[:1] - 1)).tolist(), len(x)]
     for a, b in zip(bounds, bounds[1:]):
         cells[a:b] = source[a:b, _LAYOUT[e[a] + 6]]
     return cells
@@ -238,72 +242,100 @@ def _cells(x: np.ndarray) -> np.ndarray:
     """format_float of each float64 in ``x``, as rows of _WIDTH NUL-padded ASCII bytes."""
     ax = np.abs(x)
     fast = (ax > 1e-6) & (ax < 1e16)
+    del ax
     fast[fast] = x[fast] != np.trunc(x[fast])
+    if fast.all():
+        return _fast_cells(x)
+    quick = _fast_cells(x[fast])
     cells = np.empty((len(x), _WIDTH), np.uint8)
-    if fast.any():
-        cells[fast] = _fast_cells(x[fast])
+    cells[fast] = quick
+    del quick
     slow = [format_float(v) for v in x[~fast].tolist()]
     cells[~fast] = np.array(slow, dtype=f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
     return cells
 
 
-def _block(columns: tuple[np.ndarray, ...], widths: list[int], start: int, stop: int) -> bytes:
-    """The CSV text of rows start .. stop - 1 of ``columns``."""
-    text = np.empty((stop - start, sum(widths) + len(widths)), np.uint8)
-    at = 0  # the first byte of the cell in each row
-    for column, width in zip(columns, widths):
-        block = column[start:stop]
-        if block.dtype == np.float64:
-            bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-            text[:, at : at + width] = _cells(bits.view(np.float64))[inverse]
+def _float_cells(column: np.ndarray) -> np.ndarray:
+    """The cells of a float column's base, ``column`` with each broadcast axis cut to
+    length 1, shaped as the base with a last axis as wide as its widest cell."""
+    base = column[tuple(slice(None, 1) if step == 0 else slice(None) for step in column.strides)]
+    bits, inverse = np.unique(base.view(np.int64).ravel(), return_inverse=True)
+    cells = _cells(bits.view(np.float64))
+    width = _WIDTH - np.argmax(cells.any(axis=0)[::-1])  # the last byte any cell uses
+    return cells[:, :width][inverse.ravel()].reshape(*base.shape, width)
+
+
+def _block(columns: tuple[np.ndarray, ...], once: dict[int, np.ndarray], start: int, stop: int) -> bytes:
+    """The CSV text of the rows at leading indices start .. stop - 1 of ``columns``.
+
+    ``once`` holds the cells of the float columns broadcast along the leading axis.
+    """
+    slots = []
+    for j, column in enumerate(columns):
+        if j in once:
+            slots.append(once[j])
+        elif column.dtype == np.float64:
+            slots.append(_float_cells(column[start:stop]))
         else:
-            text[:, at : at + width] = block.view(np.uint8).reshape(-1, width)
-        text[:, at + width] = ord(",")
+            slots.append(column[start:stop][..., None].view(np.uint8))
+    widths = [slot.shape[-1] for slot in slots]
+    text = np.empty((stop - start, *columns[0].shape[1:], sum(widths) + len(widths)), np.uint8)
+    at = 0  # the first byte of the slot in each row
+    for slot, width in zip(slots, widths):
+        text[..., at : at + width] = slot  # broadcast along the axes the column repeats on
+        text[..., at + width] = ord(",")
         at += width + 1
-    text[:, -1] = ord("\n")
-    # The NULs are dropped a quarter of the rows at a time and the padded text is
-    # freed before the join, so no mask or copy sits beside the whole text: with a
-    # block per worker in flight, this step set the peak memory of a table.
-    parts = [part[part != 0].tobytes() for part in np.array_split(text, 4)]
-    del text
-    return b"".join(parts)
+    text[..., -1] = ord("\n")
+    del slots, slot
+    # The NULs are dropped a quarter of the rows at a time, and each quarter's
+    # bytes are moved to the end of the text kept so far, over rows already
+    # read, so no mask or copy of the whole text sits beside it.
+    flat, kept = text.reshape(-1), 0
+    for part in np.array_split(text.reshape(-1, at), 4):
+        part = part[part != 0]
+        flat[kept : kept + len(part)] = part
+        kept += len(part)
+    del part
+    return flat[:kept].tobytes()
 
 
 def csv_lines(header: list[str], *columns: np.ndarray) -> Iterator[bytes]:
     """Newline-terminated CSV text of ``columns``: the header line, then one chunk per block.
 
-    Blocks are formatted on a pool of WORKERS threads and yielded in order.
-    A block is in flight from its submission until the caller has taken it
-    and asked for the next, and at most WORKERS blocks are in flight.
+    A block is max(1, BLOCK_ROWS // row_length) leading indices of the
+    columns, where row_length is the number of elements per leading index.
+    Each block is formatted when the caller asks for it.
     """
     if not columns or len(header) != len(columns):
         raise ValueError(f"a table needs one column per header field, got {len(columns)}")
-    n_rows = len(columns[0])
+    shape = columns[0].shape
     for j, column in enumerate(columns):
-        if column.ndim != 1 or (column.dtype != np.float64 and column.dtype.kind != "S"):
-            raise ValueError(f"column {j} must be a 1-D float64 or bytes array, got {column.dtype}")
-        if len(column) != n_rows:
-            raise ValueError(f"column {j} has {len(column)} rows, column 0 has {n_rows}")
+        if column.ndim == 0 or (column.dtype != np.float64 and column.dtype.kind != "S"):
+            raise ValueError(
+                f"column {j} must be a float64 or bytes array with at least one axis, "
+                f"got {column.dtype} of shape {column.shape}"
+            )
+        if column.shape != shape:
+            raise ValueError(
+                f"column {j} has {column.size} rows (shape {column.shape}), "
+                f"column 0 has {columns[0].size} (shape {shape})"
+            )
     yield (",".join(header) + "\n").encode()
-    widths = [_WIDTH if column.dtype == np.float64 else column.itemsize for column in columns]
-    # Imported here, not at the top: concurrent.futures imports logging, about 9 ms
-    # added to every CLI start, and verify writes no table.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(WORKERS) as pool:  # leaving it joins every thread
-        blocks = deque()
-        for start in range(0, n_rows, BLOCK_ROWS):
-            if len(blocks) == WORKERS:
-                yield blocks.popleft().result()
-            stop = min(start + BLOCK_ROWS, n_rows)
-            blocks.append(pool.submit(_block, columns, widths, start, stop))
-        while blocks:
-            yield blocks.popleft().result()
+    if not columns[0].size:
+        return
+    step = max(1, BLOCK_ROWS // (columns[0].size // shape[0]))
+    once = {
+        j: _float_cells(column)
+        for j, column in enumerate(columns)
+        if column.dtype == np.float64 and column.strides[0] == 0
+    }
+    for start in range(0, shape[0], step):
+        yield _block(columns, once, start, min(start + step, shape[0]))
 
 
 def write_csv(path, header: list[str], *columns: np.ndarray) -> None:
-    with closing(csv_lines(header, *columns)) as lines:  # stops the pool if a write fails
-        first = next(lines)  # checks the columns before the file is opened and truncated
-        with open(path, "wb") as fh:
-            fh.write(first)
-            fh.writelines(lines)
+    lines = csv_lines(header, *columns)
+    first = next(lines)  # checks the columns before the file is opened and truncated
+    with open(path, "wb") as fh:
+        fh.write(first)
+        fh.writelines(lines)

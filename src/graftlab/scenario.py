@@ -263,15 +263,13 @@ def load_scenario(path) -> Scenario:
     s_values: tuple[float, ...] = ()
     if "s_values" in raw:
         s_values = tuple(float(_number(s, f"s_values[{i}]")) for i, s in enumerate(items))
-        for i, s in enumerate(s_values):
-            try:
-                lamination.scaled(s)
-            except ValueError:
-                raise _fail(
-                    f"s_values[{i}]",
-                    "a number whose product with each lamination weight is positive and finite",
-                    items[i],
-                ) from None
+        i = lamination.first_unscalable(s_values)
+        if i < len(s_values):
+            raise _fail(
+                f"s_values[{i}]",
+                "a number whose product with each lamination weight is positive and finite",
+                items[i],
+            )
     unread = "steps" if mode == "ray" else "s_values"
     if unread in raw:
         raise ScenarioError(f"field {unread} is not read in mode {mode!r}")

@@ -16,7 +16,7 @@ from graftlab import verify
 from graftlab.beltrami import MAX_LATTICE, MIN_LATTICE
 from graftlab.cli import main
 from graftlab.errors import ScenarioError
-from graftlab.grafting import graft_factors
+from graftlab.grafting import WeightedMulticurve, graft_factors
 from graftlab.scenario import (
     MAX_CELLS,
     MAX_STEPS,
@@ -598,6 +598,32 @@ class TestSimulateCommand:
     def test_exactly_max_cells_loads(self, tmp_path):
         scenario = load_scenario(self.wide_scenario(tmp_path, "iterate", 100, 100_000))
         assert (scenario.steps + 1) * len(scenario.state.lengths) == MAX_CELLS
+
+    @pytest.mark.parametrize(
+        "weight, bad", [(1e300, 1e10), (1e-30, 1e-300)], ids=["overflow", "underflow"]
+    )
+    def test_first_bad_s_value_is_named_without_scaling_per_entry(
+        self, tmp_path, monkeypatch, weight, bad
+    ):
+        path = self.wide_scenario(tmp_path, "ray", 3, 1001)
+        doc = json.loads(path.read_text())
+        doc["lamination"]["c1"] = weight
+        doc["s_values"][500] = doc["s_values"][700] = bad
+        path.write_text(json.dumps(doc))
+        scaled, calls = WeightedMulticurve.scaled, []
+
+        def spy(self, s):
+            calls.append(s)
+            return scaled(self, s)
+
+        monkeypatch.setattr(WeightedMulticurve, "scaled", spy)
+        with pytest.raises(ScenarioError) as raised:
+            load_scenario(path)
+        assert str(raised.value) == (
+            "s_values[500] must be a number whose product with each lamination weight is "
+            f"positive and finite, got {bad!r}"
+        )
+        assert calls == []
 
     def test_malformed_scenario_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

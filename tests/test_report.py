@@ -1,15 +1,14 @@
 import errno
 import json
 import math
-import sys
-import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from graftlab import report
+from graftlab import beltrami_estimate, report, shearing_map
 from graftlab.report import BLOCK_ROWS, dumps, format_float, jsonable, write_csv
 
 # Values whose cells are easy to get wrong: signed zeros, non-finite values,
@@ -100,10 +99,10 @@ class TestCsv:
             write_csv(tmp_path / "t.csv", header, np.zeros(3), np.zeros(3))
 
     @pytest.mark.parametrize(
-        "column", [np.zeros((3, 2)), np.arange(3), np.zeros(3, np.float32), np.array(["a"])]
+        "column", [np.zeros(()), np.arange(3), np.zeros(3, np.float32), np.array(["a"])]
     )
     def test_columns_are_1d_float64_or_bytes(self, tmp_path, column):
-        with pytest.raises(ValueError, match="1-D float64 or bytes"):
+        with pytest.raises(ValueError, match="float64 or bytes array with at least one axis"):
             write_csv(tmp_path / "t.csv", ["a"], column)
 
     def test_malformed_table_leaves_existing_file_unchanged(self, tmp_path):
@@ -133,8 +132,8 @@ CELL_TEXT = st.text(
 
 class TestFloatTables:
     """Float columns are formatted once per distinct value and per block, and
-    bytes columns are copied; at any block size and worker count the bytes
-    must match the per-cell reference."""
+    bytes columns are copied; at any block size the bytes must match the
+    per-cell reference."""
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -145,11 +144,10 @@ class TestFloatTables:
         n_cols=st.integers(1, 3),
         n_rows=st.integers(0, 40),
         block_rows=st.integers(1, 8),
-        workers=st.integers(1, 3),
         data=st.data(),
     )
     def test_matches_per_cell_reference(
-        self, tmp_path, specials, others, texts, n_cols, n_rows, block_rows, workers, data
+        self, tmp_path, specials, others, texts, n_cols, n_rows, block_rows, data
     ):
         # Small pools drawn from by index give columns with many repeats.
         pool = [SPECIAL_FLOATS[i] for i in sorted(specials)] + others
@@ -163,8 +161,7 @@ class TestFloatTables:
             np.array([text.encode() for text in labels], dtype=bytes),
         )
         header = [f"c{j}" for j in range(n_cols + 1)]
-        with mock.patch.object(report, "BLOCK_ROWS", block_rows), \
-                mock.patch.object(report, "WORKERS", workers):
+        with mock.patch.object(report, "BLOCK_ROWS", block_rows):
             write_csv(tmp_path / "t.csv", header, *columns)
         assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, *columns)
 
@@ -180,6 +177,83 @@ class TestFloatTables:
         # 0.0 == -0.0, so deduplicating on the float value would merge them.
         write_csv(tmp_path / "t.csv", ["z"], np.array([0.0, -0.0, 0.0, -0.0]))
         assert (tmp_path / "t.csv").read_text() == "z\n0.0\n-0.0\n0.0\n-0.0\n"
+
+
+class TestLatticeTables:
+    """Columns of one N-D shape are written as the table of their elements in
+    row-major order, broadcast views included, with the bytes of the
+    per-cell reference of their raveled copies."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
+        n_cols=st.integers(1, 4),
+        block_rows=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_matches_reference_of_raveled_copies(self, shape, n_cols, block_rows, data):
+        pool = SPECIAL_FLOATS + [0.25, -3.5]
+
+        def picks(size):
+            return data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))
+
+        columns = []
+        for _ in range(n_cols):
+            # A column repeated along every axis but one, or a full one.
+            axis = data.draw(st.sampled_from([None, *range(len(shape))]))
+            base = [1] * len(shape) if axis is not None else list(shape)
+            if axis is not None:
+                base[axis] = shape[axis]
+            values = np.array([pool[i] for i in picks(math.prod(base))]).reshape(base)
+            if data.draw(st.booleans()):
+                values = np.array([b"%d" % (i % 7) for i in range(values.size)]).reshape(base)
+            columns.append(np.broadcast_to(values, shape))
+        header = [f"c{j}" for j in range(n_cols)]
+        with mock.patch.object(report, "BLOCK_ROWS", block_rows):
+            text = b"".join(report.csv_lines(header, *columns))
+        assert text == reference_csv(header, *(column.ravel() for column in columns))
+
+    @pytest.mark.parametrize(
+        "n_t, n_x, blocks", [(7, 3, 4), (5, 8, 5), (3, 9, 3)], ids=["row-3", "row-8", "row-9"]
+    )
+    def test_blocks_are_whole_rows_of_the_lattice(self, n_t, n_x, blocks):
+        # With BLOCK_ROWS = 8 a block is max(1, 8 // n_x) lattice rows: 2 of 3,
+        # 1 of 8, and 1 of 9, which is longer than BLOCK_ROWS.
+        field = np.random.default_rng(n_t * n_x).normal(size=(n_t, n_x))
+        columns = shearing_map(2.0, 0.3, n_t=n_t, n_x=n_x).grid.table(field)
+        with mock.patch.object(report, "BLOCK_ROWS", 8):
+            chunks = list(report.csv_lines(["t", "x", "f"], *columns))
+        assert len(chunks) == 1 + blocks
+        assert b"".join(chunks) == reference_csv(["t", "x", "f"], *(c.ravel() for c in columns))
+
+    def test_signed_zeros_in_broadcast_axes_stay_distinct(self):
+        t = np.broadcast_to(np.array([[-0.0], [0.0], [-0.0]]), (3, 2))
+        x = np.broadcast_to(np.array([0.0, -0.0]), (3, 2))
+        with mock.patch.object(report, "BLOCK_ROWS", 2):
+            text = b"".join(report.csv_lines(["t", "x"], t, x))
+        assert text == b"t,x\n-0.0,0.0\n-0.0,-0.0\n0.0,0.0\n0.0,-0.0\n-0.0,0.0\n-0.0,-0.0\n"
+
+    @pytest.mark.parametrize("shape", [(2, 3), (6,), (3, 2, 1)])
+    def test_unequal_shapes_raise(self, tmp_path, shape):
+        with pytest.raises(ValueError) as raised:
+            write_csv(tmp_path / "t.csv", ["a", "b"], np.zeros((3, 2)), np.zeros(shape))
+        assert str(raised.value) == f"column 1 has 6 rows (shape {shape}), column 0 has 6 (shape (3, 2))"
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_lattice_axes_are_never_materialized(self, tmp_path):
+        # At 513² one lattice float column is 2.1 MB.  Writing the table of
+        # a shear's |mu| peaks at 1.89 MB beside |mu| (traced with numpy
+        # 2.4); a materialized t or x column would add 2.1 MB each.
+        grid = shearing_map(2.0, 0.3, n_t=513, n_x=513).grid
+        mu = np.empty((513, 513))
+        beltrami_estimate(grid, out=mu)
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "mu.csv", ["t", "x", "abs_mu"], *grid.table(mu))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mu.nbytes, f"{peak / 1e6:.2f} MB beside |mu|"
 
 
 class FullDisk:
@@ -205,46 +279,30 @@ class FullDisk:
 
 
 class TestPool:
-    """Blocks are formatted on worker threads: the bytes do not depend on how
-    many, an error reaches the caller, and no thread outlives the table."""
+    """Blocks are formatted one at a time, when the caller asks for them: an
+    error reaches the caller, and lines closed early format no further block."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self):
-        with mock.patch.object(report, "BLOCK_ROWS", 4), mock.patch.object(report, "WORKERS", 3):
+        with mock.patch.object(report, "BLOCK_ROWS", 4):
             yield
 
-    def test_bytes_do_not_depend_on_the_worker_count(self):
-        rng = np.random.default_rng(3)
-        columns = (rng.normal(size=200), np.array([b"%d" % k for k in range(200)]))
-        texts = set()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
-        try:
-            for workers in (1, 2, 3, 8):
-                with mock.patch.object(report, "WORKERS", workers):
-                    texts.add(b"".join(report.csv_lines(["x", "k"], *columns)))
-        finally:
-            sys.setswitchinterval(interval)
-        assert texts == {reference_csv(["x", "k"], *columns)}
-
     def test_write_error_reaches_the_caller(self, tmp_path):
-        disk, before = FullDisk(), threading.active_count()
+        disk = FullDisk()
         with mock.patch.object(report, "open", create=True, return_value=disk):
             with pytest.raises(OSError) as raised:
                 write_csv(tmp_path / "t.csv", ["v"], np.arange(40.0))
         assert raised.value.errno == errno.ENOSPC
         assert disk.chunks == [b"v\n", b"0.0\n1.0\n2.0\n3.0\n"]
-        # The traceback held here keeps write_csv's frame, and so the lines, alive.
-        assert threading.active_count() == before
 
     def test_closing_the_lines_early_stops_the_pool(self):
-        before = threading.active_count()
         lines = report.csv_lines(["v"], np.arange(40.0))
-        assert next(lines) == b"v\n"
-        assert next(lines) == b"0.0\n1.0\n2.0\n3.0\n"
-        assert threading.active_count() > before
-        lines.close()
-        assert threading.active_count() == before
+        with mock.patch.object(report, "_block", wraps=report._block) as block:
+            assert next(lines) == b"v\n"
+            assert block.call_count == 0
+            assert next(lines) == b"0.0\n1.0\n2.0\n3.0\n"
+            lines.close()
+        assert block.call_count == 1
 
 
 def assert_column_matches_reference(tmp_path, values):
