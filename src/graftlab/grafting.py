@@ -168,13 +168,30 @@ def graft_factors(l_hi: float, t: float) -> GraftFactors:
     upper length endpoint because theta decreases.
     """
     upper = decay_factor(t)
-    return GraftFactors(upper=upper, lower=float(_lower_factors(np.array([l_hi]), t)[0]))
+    lower = _lower_factors(np.array([[l_hi]]), np.array([[t]]))
+    return GraftFactors(upper=upper, lower=float(lower[0, 0]))
 
 
-def _lower_factors(l_hi: np.ndarray, t) -> np.ndarray:
-    """The lower factor of graft_factors at each entry of ``l_hi``, taken in row-major order."""
-    two_theta = np.reshape([2.0 * collar_angle(h) for h in l_hi.ravel().tolist()], l_hi.shape)
-    return (1.0 / (1.0 + l_hi)) * two_theta / (two_theta + t)
+# Entries of a block whose collar angles are held as Python floats at a time.
+LOWER_CHUNK = 4096
+
+
+def _lower_factors(l_hi: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The lower factor of graft_factors at each entry of the rows ``l_hi``, broadcast
+    against the rows of weights ``t``; either may be a single row.
+
+    The collar angles are taken with ``math`` in row-major order, LOWER_CHUNK
+    entries' worth of rows of ``l_hi`` at a time, so that no Python float per entry
+    of a whole iterated block is held.
+    """
+    out = np.empty(np.broadcast_shapes(l_hi.shape, t.shape))
+    step = max(1, LOWER_CHUNK // max(1, l_hi.shape[1]))
+    for r0 in range(0, len(l_hi), step):
+        rows = slice(r0, r0 + step) if len(l_hi) > 1 else slice(None)
+        h = l_hi[rows]
+        two_theta = np.reshape([2.0 * collar_angle(v) for v in h.ravel().tolist()], h.shape)
+        out[rows] = (1.0 / (1.0 + h)) * two_theta / (two_theta + (t[rows] if len(t) > 1 else t))
+    return out
 
 
 def _require_enclosures(where: Sequence[str], lo: np.ndarray, hi: np.ndarray, label=None) -> None:

@@ -38,8 +38,9 @@ MODULI_TOL = 1e-12  # relative: a composed pair's inner target and outer domain 
 # graftlab.beltrami, at a time: a stripe's temporaries stay in cache, and the
 # samples are the only full-lattice array an estimate builds.  The kernel
 # holds three complex temporaries per stripe, 0.79 MB at 1025 points per row:
-# half of what 32 rows held, in the same kernel time (0.10-0.11 s of CPU for a
-# shear and a twist at 1025^2 either way).  The bits do not depend on it.
+# half of what 32 rows held, in about the same time (0.04-0.05 s of CPU to
+# sample and estimate a shear and a twist at 1025^2 either way, on a 2-core
+# x86-64 VM).  The bits do not depend on it.
 STRIPE_ROWS = 16
 
 
@@ -66,14 +67,24 @@ class GridMap:
 
     @property
     def samples(self) -> np.ndarray:
-        """The map on the lattice, evaluated STRIPE_ROWS rows of t at a time."""
-        t = np.linspace(0.0, self.modulus_domain, self.n_t)
+        """The map on the lattice, evaluated STRIPE_ROWS rows of t at a time.
+
+        map_fn takes the stripe's t as a (rows, 1) column and x as one (n_x,)
+        row, so a term that depends on x alone is evaluated once per stripe.
+        The parts are written into the real and imaginary halves of the
+        samples as t' + 0 x' and x' + 0: the bits of t' + 1j * x', signed
+        zeros included, without a complex temporary.  (Which of two NaN
+        operands a sum returns is left to numpy's loop in either form.)
+        """
+        t = np.linspace(0.0, self.modulus_domain, self.n_t)[:, None]
         x = np.arange(self.n_x) / self.n_x
         samples = np.empty((self.n_t, self.n_x), dtype=np.complex128)
+        parts = samples.view(np.float64)
         for i0 in range(0, self.n_t, STRIPE_ROWS):
             rows = slice(i0, i0 + STRIPE_ROWS)
-            out_t, out_x = self.map_fn(*np.meshgrid(t[rows], x, indexing="ij"))
-            samples[rows] = np.asarray(out_t, dtype=float) + 1j * np.asarray(out_x, dtype=float)
+            out_t, out_x = self.map_fn(t[rows], x)
+            np.add(out_t, np.multiply(out_x, 0.0), out=parts[rows, 0::2])
+            np.add(out_x, 0.0, out=parts[rows, 1::2])
         return samples
 
     @property
@@ -105,12 +116,16 @@ class GridMap:
         n_x: int = DEFAULT_LATTICE,
         winding: int = 1,
     ) -> "GridMap":
-        """The map ``map_fn(t, x) -> (t', x')`` (numpy-vectorized) on the lattice.
+        """The map ``map_fn(t, x) -> (t', x')`` on the lattice.
 
-        Checks the seam consistency w(t, 1) = w(t, 0) + 1j * winding on a
-        column of probe points (tolerance 1e-10); the lattice itself is
-        sampled on each access to ``samples``.  A probe sample that is not
-        finite is named as an overflow, not as a seam fault.
+        map_fn must broadcast like a numpy ufunc: ``samples`` calls it with t
+        of shape (rows, 1) and x of shape (n_x,), and the seam check with two
+        arrays of shape (n_t,); t' and x' may have any shapes that broadcast
+        to that of t and x together.  Checks the seam consistency w(t, 1) =
+        w(t, 0) + 1j * winding on a column of probe points (tolerance 1e-10);
+        the lattice itself is sampled on each access to ``samples``.  A probe
+        sample that is not finite is named as an overflow, not as a seam
+        fault.
         """
         t = np.linspace(0.0, modulus_domain, n_t)
         with np.errstate(all="ignore"):  # an overflow is named below, without a warning

@@ -1,11 +1,10 @@
 """Every function and method of graftlab is reached from the command line.
 
-The CLI runs in-process under ``sys.setprofile``, and its threads under
-``threading.setprofile``, over a set of runs that covers its surface:
-``verify all``, every shipped scenario, a ray-mode scenario with a
-disjoint curve, ``qc-check`` for each map kind, one malformed scenario and
-``verify all`` again under constants whose epsilon fails the stated
-preconditions of some checks.  Every ``def`` that an ``ast`` walk finds in the
+The CLI runs in-process under ``sys.setprofile`` over a set of runs that
+covers its surface: ``verify all``, every shipped scenario, a ray-mode
+scenario with a disjoint curve, ``qc-check`` for each map kind, one
+malformed scenario and ``verify all`` again under constants whose epsilon
+fails the stated preconditions of some checks.  Every ``def`` that an ``ast`` walk finds in the
 package must be entered at least once.  A function that no command
 reaches is either dead or serves only the tests: give it a CLI caller
 (a ``verify`` check, say) or delete it.
@@ -19,7 +18,6 @@ import ast
 import json
 import math
 import sys
-import threading
 from pathlib import Path
 
 import graftlab
@@ -97,16 +95,14 @@ def test_every_function_is_reached_from_the_cli(tmp_path, monkeypatch):
     unmet = tmp_path / "constants.json"
     unmet.write_text(json.dumps({"epsilon": 0.05}))  # below the verify grids' l = 0.1
 
-    previous, previous_threads = sys.getprofile(), threading.getprofile()
+    previous = sys.getprofile()
     sys.setprofile(profile)
-    threading.setprofile(profile)  # the CSV writer's worker threads
     try:
         codes = [main(argv) for argv in runs]
         monkeypatch.setenv("GRAFTLAB_CONSTANTS", str(unmet))
         codes.append(main(["verify", "all", "--lattice", "33", "--out", str(tmp_path / "unmet")]))
     finally:
         sys.setprofile(previous)
-        threading.setprofile(previous_threads)
     assert codes == [0] * (len(runs) - 1) + [2, 1]
 
     reached = {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in entered}

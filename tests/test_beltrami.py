@@ -1,9 +1,17 @@
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from graftlab import (
     NotSensePreservingError,
@@ -13,6 +21,7 @@ from graftlab import (
     shearing_map,
     twist_map,
 )
+import graftlab
 from graftlab import beltrami
 from graftlab.beltrami import MU_ROUNDING_ULPS, convergence_order
 from graftlab.errors import GridError
@@ -278,3 +287,118 @@ class TestStripes:
         finally:
             tracemalloc.stop()
         assert scratch < 0.9 * 2**20, f"{scratch / 2**20:.2f} MiB beside the samples"
+
+
+# Edge values of float64: signed zeros, subnormals, huge values whose differences
+# overflow, infinities and NaN, mixed with ordinary ones.
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, math.inf, -math.inf, math.nan]
+ENTRIES = st.one_of(st.sampled_from(EDGES), st.floats(-4.0, 4.0))
+
+
+def table_map(parts_t: np.ndarray, parts_x: np.ndarray, winding: int) -> GridMap:
+    """The map whose samples are parts_t + 1j * parts_x, entry by entry.
+
+    The modulus n_t - 1 puts row i at t = i, and column j sits at x = j / n_x,
+    so the map reads its entries back from t and x, whether it is called on the
+    broadcast axes of GridMap.samples or on the meshgrid of reference_samples.
+    The seam check of GridMap.from_function is left out on purpose.
+    """
+    n_t, n_x = parts_t.shape
+
+    def fn(t, x):
+        i, j = np.rint(t).astype(int), np.rint(x * n_x).astype(int)
+        return parts_t[i, j], parts_x[i, j]
+
+    return GridMap(float(n_t - 1), float(n_t - 1), fn, n_t, n_x, winding)
+
+
+def verdict(grid: GridMap, out: np.ndarray):
+    """The estimate, or the type and message of the error it raises."""
+    with mock.patch.object(beltrami, "MIN_LATTICE", 3):
+        try:
+            est = beltrami_estimate(grid, out=out)
+        except (NotSensePreservingError, GridError) as exc:
+            return type(exc), str(exc)
+    return est
+
+
+@st.composite
+def edge_lattices(draw):
+    n_t = draw(st.sampled_from([m * STRIPE_ROWS + d for m in (1, 2) for d in (-1, 0, 1)]))
+    shape = (n_t, draw(st.integers(3, 6)))
+    parts_t = draw(hnp.arrays(np.float64, shape, elements=ENTRIES))
+    parts_x = draw(hnp.arrays(np.float64, shape, elements=ENTRIES))
+    return table_map(parts_t, parts_x, draw(st.sampled_from([-1, 0, 1])))
+
+
+class TestEdgeValues:
+    """The striped kernel keeps the whole-lattice reference's bits and verdict where
+    infinities, NaNs, signed zeros and overflowing differences sit next to finite parts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=edge_lattices())
+    @np.errstate(all="ignore")
+    def test_same_bits_and_verdict(self, grid):
+        # Which of two NaN operands an add returns depends on numpy's loop (its SIMD
+        # body or tail, and the dispatch level), so a NaN part matches any NaN.
+        w = reference_samples(grid)
+        parts, reference = grid.samples.view(np.float64), w.view(np.float64)
+        same = parts.view(np.uint64) == reference.view(np.uint64)
+        assert (same | (np.isnan(parts) & np.isnan(reference))).all()
+        got = np.full((grid.n_t, grid.n_x), np.nan)
+        striped = verdict(grid, got)
+        want = reference_abs_mu(w, grid.dt, grid.dx, grid.winding)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        with mock.patch.object(beltrami, "_abs_mu", whole_lattice_kernel), mock.patch.object(
+            beltrami, "STRIPE_ROWS", grid.n_t
+        ):
+            whole = verdict(grid, np.empty((grid.n_t, grid.n_x)))
+        assert striped == whole
+
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as _umath
+
+# The SIMD groups numpy dispatches to on this CPU beyond its compiled-in baseline.
+HOST_DISPATCH = [f for f in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(f)]
+DISPATCH_MAPS = ["twist", "scaling", "shear", "composed"]
+
+
+def dispatch_digests(n: int = 129) -> dict[str, list[str]]:
+    """sha256 of the samples and of both Wirtinger terms over the whole lattice, per map.
+
+    |mu| is left out: np.abs of a complex array takes a different SIMD loop at
+    each dispatch level, whose last bits differ."""
+    out = {}
+    for name in DISPATCH_MAPS:
+        grid = MAPS[name](n)
+        w = grid.samples
+        terms = beltrami._wirtinger(w, 0, n, grid.dt, grid.dx, grid.winding)
+        out[name] = [hashlib.sha256(a.tobytes()).hexdigest() for a in (w, *terms)]
+    return out
+
+
+@pytest.mark.skipif(not HOST_DISPATCH, reason="numpy dispatches nothing beyond its baseline here")
+def test_sampling_and_kernel_bits_do_not_depend_on_simd_dispatch():
+    # A child with numpy cut to its baseline (as on a CPU without the host's SIMD
+    # groups) must sample and differentiate to the same bits as this process.
+    probe = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); "
+        "import test_beltrami as t; "
+        "print(json.dumps([[f for f in t.HOST_DISPATCH if t._umath.__cpu_features__[f]], "
+        "t.dispatch_digests()]))"
+    )
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(HOST_DISPATCH))
+    env["PYTHONPATH"] = str(Path(graftlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(Path(__file__).resolve().parent)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    enabled, digests = json.loads(proc.stdout.splitlines()[-1])
+    assert enabled == []  # the child really ran at the baseline
+    assert digests == dispatch_digests()

@@ -1,5 +1,7 @@
 import math
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -390,6 +392,37 @@ class TestLongRuns:
         lam = WeightedMulticurve({"a": 2.0, "b": 0.25})
         expected = outcome(reference_ray, state, lam, s_values)
         assert outcome(ray_grafting, state, lam, s_values) == expected
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_bits_do_not_depend_on_the_chunk_of_collar_angles(self, chunk):
+        state = LengthState({c: LengthInterval(0.01 * (i + 1), 0.012 * (i + 1))
+                             for i, c in enumerate("abcd")}, 0.1)
+        lam = WeightedMulticurve({"a": 0.5, "b": 0.002, "c": 3.0})
+        s_values = [0.5 * k for k in range(1, 40)]
+        with mock.patch.object(grafting, "LOWER_CHUNK", chunk):
+            assert outcome(iterate_grafting, state, lam, 60) == outcome(
+                reference_iterate, state, lam, 60
+            )
+            assert outcome(ray_grafting, state, lam, s_values) == outcome(
+                reference_ray, state, lam, s_values
+            )
+
+    def test_peak_memory_stays_near_the_result(self):
+        # 20 000 steps of 16 curves: lo and hi take 4.9 MiB.  The trajectory keeps
+        # them in id order beside the rule's own lo and hi, so the traced peak is
+        # twice their size (9.8 MiB).  Collar angles taken as one Python float per
+        # entry of the whole block peaked at 4.5 times (22.0 MiB).
+        ids = [f"c{i:02d}" for i in range(16)]
+        state = LengthState({cid: LengthInterval(0.05, 0.06) for cid in ids}, 0.1)
+        lam = WeightedMulticurve({cid: 1e-3 * (1 + i % 3) for i, cid in enumerate(ids)})
+        tracemalloc.start()
+        try:
+            traj = iterate_grafting(state, lam, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = traj.lo.nbytes + traj.hi.nbytes
+        assert peak < 2.5 * size, f"peak {peak / size:.2f} times lo and hi"
 
 
 class TestDisjointBounds:

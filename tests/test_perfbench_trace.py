@@ -1,9 +1,9 @@
 """A traced CLI run, as ``perfbench/run.py --trace 1`` makes it, still works.
 
-``perfbench/spans.py`` wraps graftlab functions by name and reads the
-trajectory it gets back, so a change to those names or to
-``GraftingTrajectory.steps`` breaks traced runs.  This test makes such a
-break fail here, not only in the benchmark.
+``perfbench/spans.py`` wraps graftlab functions by name and reads what
+they return: the trajectory's ``steps``, an estimate's lattice and a built
+map's ``samples``.  A change to those names breaks traced runs.  These
+tests make such a break fail here, not only in the benchmark.
 """
 
 import importlib.util
@@ -62,3 +62,34 @@ def test_traced_runs_count_curve_steps(tmp_path, monkeypatch):
     assert simulated["report.rows"] == (steps + 1) * (len(support) + len(disjoint))
     # suite_dynamics iterates one curve 20 steps, and two curves 14 steps twice.
     assert verified["dynamics.curve_steps"] == 20 * 1 + 2 * 14 * 2
+
+
+def test_traced_qc_runs_count_lattice_points(tmp_path, monkeypatch):
+    monkeypatch.delenv("GRAFTLAB_CONSTANTS", raising=False)
+    spec = tmp_path / "shear.json"
+    spec.write_text(json.dumps({"kind": "shear", "params": {"a": 2.0, "amplitude": 0.3}}))
+    n = 33
+
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        qc = tracer.run(
+            "cli",
+            main,
+            ["qc-check", "--scenario", str(spec), "--lattice", str(n), "--out", str(tmp_path / "qc")],
+        )
+        checked = spans.summarise(tracer)
+        verify = tracer.run(
+            "cli", main, ["verify", "qcmaps", "--lattice", str(n), "--out", str(tmp_path / "ver")]
+        )
+        verified = spans.summarise(tracer)
+    finally:
+        tracer.uninstall()
+    assert (qc, verify) == (0, 0)
+    assert (checked["beltrami.calls"], checked["beltrami.points"]) == (1, n * n)
+    assert checked["qcmaps.points"] == n * n
+    # suite_qcmaps estimates 3 twists, 4 scalings, 3 shears and one composed map;
+    # it builds those and the composed map's two factors, each sampled once by spans.py.
+    assert (verified["beltrami.calls"], verified["beltrami.points"]) == (11, 11 * n * n)
+    assert verified["qcmaps.points"] == 13 * n * n
