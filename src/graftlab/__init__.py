@@ -56,7 +56,6 @@ from .dynamics import (
     CauchyReport,
     GraftingTrajectory,
     LiftRadiusBound,
-    TubeReport,
     collapse_distance_bound,
     counterexample_analysis,
     endpoint_cauchy_analysis,

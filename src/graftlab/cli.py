@@ -2,7 +2,8 @@
 
 Exit codes: 0 = all checks passed / run completed; 1 = at least one check
 failed; 2 = an input that breaks the contract checked in graftlab.scenario
-(scenario file, map spec or --lattice), or a failed precondition.
+(scenario file, map spec, --lattice, or an --out that cannot be made a
+directory), or a failed precondition.
 Report files are deterministic; timing is printed to the console only.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from .errors import GraftLabError, ScenarioError
 from .qcmaps import DEFAULT_LATTICE, scaling_map, shearing_map, twist_map
 from .report import write_csv, write_json
 from .scenario import MapSpec, check_lattice, load_map_spec, load_scenario, resolve_constants
-from .verify import run_suite
+from .verify import check_inputs, run_suite
 
 __all__ = ["main"]
 
@@ -40,10 +42,22 @@ def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
     return out
 
 
+def _out_dir(path: str) -> Path:
+    """The --out directory, made with its parents once the inputs are checked."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"--out {path!r} cannot be made a directory: {exc.strerror}") from exc
+    return out_dir
+
+
 def _cmd_verify(args) -> int:
     check_lattice(args.lattice, "--lattice")
-    tolerances = _parse_tolerances(args.tolerance)
+    overrides = _parse_tolerances(args.tolerance)
+    tolerances = check_inputs(args.seed, overrides)
     constants = resolve_constants()
+    out_dir = _out_dir(args.out)
     started = time.perf_counter()
     results = run_suite(
         args.suite, lattice=args.lattice, seed=args.seed, tolerances=tolerances, constants=constants
@@ -57,8 +71,6 @@ def _cmd_verify(args) -> int:
     print(
         f"{len(results) - len(failed)}/{len(results)} checks passed ({elapsed:.2f}s)"
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_json(
         out_dir / f"verify_{args.suite}.json",
         {
@@ -67,9 +79,9 @@ def _cmd_verify(args) -> int:
             "suite": args.suite,
             "lattice": args.lattice,
             "seed": args.seed,
-            "constants": constants.as_dict(),
+            "constants": asdict(constants),
             "kappa_is_placeholder": constants.kappa_is_placeholder,
-            "tolerance_overrides": tolerances,
+            "tolerance_overrides": overrides,
             "checks": results,
             "passed": len(failed) == 0,
         },
@@ -95,8 +107,7 @@ def _trajectory_columns(traj) -> list[np.ndarray]:
 
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     constants = scenario.constants
 
     report: dict = {
@@ -109,7 +120,7 @@ def _cmd_simulate(args) -> int:
             "epsilon": scenario.state.epsilon,
             "lamination": dict(scenario.lamination.weights),
         },
-        "constants": constants.as_dict(),
+        "constants": asdict(constants),
     }
 
     if scenario.mode == "ray":
@@ -127,11 +138,7 @@ def _cmd_simulate(args) -> int:
         cauchy = dynamics.endpoint_cauchy_analysis(traj, constants.C)
         support = sorted(scenario.lamination.support)
         report["cauchy"] = {
-            "step_bounds": list(cauchy.step_bounds),
-            "consecutive_ratios": list(cauchy.consecutive_ratios),
-            "expected_ratio": cauchy.expected_ratio,
-            "tail_sums": list(cauchy.tail_sums),
-            "tail_closed_forms": list(cauchy.tail_closed_forms),
+            **asdict(cauchy),
             "cusp_pairs": support,
             "boundary_count": 2 * len(support),
             "reparametrization": {
@@ -165,8 +172,7 @@ def _build_map(spec: MapSpec, lattice: int):
 def _cmd_qc_check(args) -> int:
     lattice = None if args.lattice is None else check_lattice(args.lattice, "--lattice")
     spec = load_map_spec(args.scenario, lattice)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     series = []
     errors = []
     for n in spec.lattices:

@@ -12,7 +12,7 @@ its value; ``simulate`` reads no kappa and echoes no flag.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 __all__ = ["Constants", "DEFAULT_CONSTANTS"]
 
@@ -35,12 +35,6 @@ class Constants:
     @property
     def kappa_is_placeholder(self) -> bool:
         return self.kappa == Constants.__dataclass_fields__["kappa"].default
-
-    def updated(self, **kwargs) -> "Constants":
-        return replace(self, **kwargs)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 DEFAULT_CONSTANTS = Constants()

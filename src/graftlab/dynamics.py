@@ -28,7 +28,6 @@ __all__ = [
     "iterate_grafting",
     "ray_grafting",
     "ray_reparametrization",
-    "TubeReport",
     "holonomy_tube_radius",
     "LiftRadiusBound",
     "iterated_lift_radius",
@@ -132,21 +131,9 @@ def ray_reparametrization(n: int, t_min: float, s: float) -> float:
     return n * (math.pi + t_min * s) / math.pi + s
 
 
-@dataclass(frozen=True)
-class TubeReport:
-    """Tube radius bound as the sum of itemized contributions."""
-
-    radius: float
-    terms: tuple[tuple[str, float], ...]
-
-    def __post_init__(self) -> None:
-        if abs(self.radius - sum(v for _, v in self.terms)) > 1e-12 * max(1.0, self.radius):
-            raise ValueError("tube radius must equal the sum of its terms")
-
-
 def holonomy_tube_radius(
     state: LengthState, lam: WeightedMulticurve, c: float = DEFAULT_CONSTANTS.C
-) -> TubeReport:
+) -> float:
     """Radius of the tube containing every holonomy lift of the grafting ray.
 
     Sum of the comparison-map term C * (max length)^{1/8} and the
@@ -156,12 +143,7 @@ def holonomy_tube_radius(
     state.require_short(lam.support)
     max_hi = state.max_hi(lam.support)
     weights = [w for _, w in lam.items()]
-    comparison = c * max_hi**0.125
-    rescale = math.log(max(weights) / min(weights))
-    return TubeReport(
-        radius=comparison + rescale,
-        terms=(("comparison", comparison), ("weight_ratio", rescale)),
-    )
+    return c * max_hi**0.125 + math.log(max(weights) / min(weights))
 
 
 @dataclass(frozen=True)

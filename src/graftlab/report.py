@@ -62,7 +62,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["format_float", "dumps", "write_json", "csv_lines", "write_csv", "jsonable"]
+__all__ = ["format_float", "dumps", "write_json", "csv_lines", "write_csv"]
 
 BLOCK_ROWS = 1 << 14  # rows formatted and written per block of CSV text
 _WIDTH = 24  # bytes of the widest cell, "-2.2250738585072014e-308"
@@ -78,27 +78,6 @@ def format_float(x: float) -> str:
         # Keep integral floats readable but unambiguous.
         return f"{x:.1f}"
     return f"{x:.17g}"
-
-
-def jsonable(obj):
-    """Convert dataclasses / numpy / paths to plain containers."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return jsonable(asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, Path):
-        return str(obj)
-    return obj
 
 
 def _render(obj, level: int) -> str:
@@ -129,12 +108,22 @@ def _render(obj, level: int) -> str:
             return "[]"
         items = [f"{pad_in}{_render(v, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return _render(asdict(obj), level)
+    if isinstance(obj, np.generic):  # np.float64 and np.str_ are float and str already
+        return _render(obj.item(), level)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON text (sorted keys, 17-digit floats, INDENT spaces per level)."""
-    return _render(jsonable(obj), 0) + "\n"
+    """Deterministic JSON text (sorted keys, 17-digit floats, INDENT spaces per level).
+
+    ``obj`` is built of dicts, lists, tuples, str, int, float, bool, None,
+    dataclass instances (written as the dict of their fields) and numpy
+    scalars (written as the Python value of the same type); anything else,
+    an ndarray or a Path included, raises TypeError.
+    """
+    return _render(obj, 0) + "\n"
 
 
 def write_json(path, obj) -> None:

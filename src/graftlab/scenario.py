@@ -35,7 +35,7 @@ import math
 import os
 import reprlib
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .beltrami import MAX_LATTICE, MIN_LATTICE
@@ -182,7 +182,7 @@ class MapSpec:
 
 def resolve_constants(overrides: dict | None = None) -> Constants:
     """Defaults <- GRAFTLAB_CONSTANTS file <- explicit overrides."""
-    values = DEFAULT_CONSTANTS.as_dict()
+    values = asdict(DEFAULT_CONSTANTS)
     env_path = os.environ.get("GRAFTLAB_CONSTANTS")
     if env_path:
         values.update(_constants(_read_json(env_path, "constants file"), "GRAFTLAB_CONSTANTS"))
@@ -248,7 +248,7 @@ def load_scenario(path) -> Scenario:
     # A top-level epsilon overrides the constants bundle so the state
     # threshold and the budget threshold cannot drift apart.
     epsilon = _number(raw["epsilon"], "epsilon") if "epsilon" in raw else constants.epsilon
-    constants = constants.updated(epsilon=epsilon)
+    constants = replace(constants, epsilon=epsilon)
     state = LengthState(lengths, epsilon)
 
     mode = _string(raw["mode"], "mode", MODES)

@@ -19,7 +19,7 @@ from .config import DEFAULT_CONSTANTS, Constants
 from .errors import GeometryError, ScenarioError, ShortnessError
 from .qcmaps import DEFAULT_LATTICE, compose_maps, scaling_map, shearing_map, twist_map
 
-__all__ = ["CheckResult", "SUITES", "TOLERANCES", "run_suite"]
+__all__ = ["CheckResult", "SUITES", "TOLERANCES", "check_inputs", "run_suite"]
 
 L_GRID = [0.1 * 2.0**-j for j in range(7)]
 T_GRID = [math.pi, 2.0 * math.pi, 4.0 * math.pi]
@@ -72,8 +72,9 @@ def _within(name: str, worst: float, tol: float) -> CheckResult:
     return CheckResult(name, worst <= tol, margin=tol - worst, tolerance=tol)
 
 
-def _resolve_tolerances(overrides: dict[str, float]) -> dict[str, float]:
-    """TOLERANCES with ``overrides`` applied; a bad name or value is a ScenarioError."""
+def check_inputs(seed: int, overrides: dict[str, float]) -> dict[str, float]:
+    """TOLERANCES with ``overrides`` applied; a bad override name or value, or a
+    negative seed, is a ScenarioError."""
     for name, value in overrides.items():
         if name not in TOLERANCES:
             raise ScenarioError(
@@ -81,6 +82,8 @@ def _resolve_tolerances(overrides: dict[str, float]) -> dict[str, float]:
             )
         if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0.0):
             raise ScenarioError(f"tolerance {name!r} must be a finite number >= 0, got {value!r}")
+    if seed < 0:  # random.Random would take -s as s
+        raise ScenarioError(f"seed must be an integer >= 0, got {seed}")
     return {**TOLERANCES, **{name: float(value) for name, value in overrides.items()}}
 
 
@@ -113,7 +116,7 @@ def suite_hypgeom(lattice: int, rng, tolerances, constants: Constants) -> list[C
     out.append(
         CheckResult(
             "freehomotopy_distance_monotone_in_l_long",
-            bool(np.all(np.diff(d) > 0)) and d[0] == 0.0,
+            bool(np.all(np.diff(d) > 0) and d[0] == 0.0),
             details={"l_geo": l_geo},
         )
     )
@@ -486,11 +489,11 @@ def suite_dynamics(lattice: int, rng, tolerances, constants: Constants) -> list[
                 lengths={"g": grafting.LengthInterval.point(l)}, epsilon=constants.epsilon
             )
             for w in T_GRID:
-                tube = dynamics.holonomy_tube_radius(
+                radius = dynamics.holonomy_tube_radius(
                     single, grafting.WeightedMulticurve({"g": w}), constants.C
                 )
                 first = dynamics.iterated_lift_radius(l, w, constants.C, 0).partial_sum
-                worst = max(worst, abs(tube.radius - first) / first)
+                worst = max(worst, abs(radius - first) / first)
     except PRECONDITION_ERRORS as exc:
         out += _unmet(exc, name)
     else:
@@ -521,9 +524,7 @@ def run_suite(
     The random inputs are drawn from ``random.Random(seed)``, so one seed
     gives one report; a negative seed raises ScenarioError.
     """
-    tolerances = _resolve_tolerances(tolerances or {})
-    if seed < 0:  # random.Random would take -s as s
-        raise ScenarioError(f"seed must be an integer >= 0, got {seed}")
+    tolerances = check_inputs(seed, tolerances or {})
     rng = random.Random(seed)
     if name == "all":
         results = []

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -134,7 +135,7 @@ class TestInputContract:
         assert all(is_number(s) and s > 0 for s in scenario.s_values)
         assert type(scenario.steps) is int and 0 <= scenario.steps <= MAX_STEPS
         assert (scenario.mode == "ray") == (scenario.steps == 0) == bool(scenario.s_values)
-        assert all(is_number(c) and c > 0 for c in scenario.constants.as_dict().values())
+        assert all(is_number(c) and c > 0 for c in asdict(scenario.constants).values())
         assert scenario.state.epsilon == scenario.constants.epsilon
         for cid in scenario.state.lengths:
             assert not any(c in ',"\x7f' or c < " " for c in cid)
@@ -230,6 +231,32 @@ class TestInputContract:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert field in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("under_a_file", [False, True], ids=["a_file", "under_a_file"])
+    @pytest.mark.parametrize("command", ["verify", "simulate", "qc-check"])
+    def test_out_that_cannot_be_a_directory_is_one_line_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, under_a_file
+    ):
+        def computed(*args, **kwargs):
+            raise AssertionError("work started before --out was made")
+
+        monkeypatch.setattr(graftlab.cli, "run_suite", computed)
+        monkeypatch.setattr(graftlab.dynamics, "iterate_grafting", computed)
+        monkeypatch.setattr(graftlab.cli, "beltrami_estimate", computed)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        out = blocker / "out" if under_a_file else blocker
+        if command == "verify":
+            argv = ["verify", "all", "--lattice", "1025"]
+        else:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(SCENARIO if command == "simulate" else MAP_SPEC))
+            argv = [command, "--scenario", str(path)]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {str(out)!r} cannot be made a directory: ")
+        assert err.count("\n") == 1
+        assert blocker.read_text() == "kept"
 
 
 class TestScenarioLoading:
@@ -383,8 +410,10 @@ class TestVerifyCommand:
         assert code == 1
 
     def test_bad_tolerance_syntax_is_exit_2(self, tmp_path):
-        code = main(["verify", "hypgeom", "--out", str(tmp_path), "--tolerance", "oops"])
+        out = tmp_path / "out"
+        code = main(["verify", "hypgeom", "--out", str(out), "--tolerance", "oops"])
         assert code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "override",
@@ -398,10 +427,11 @@ class TestVerifyCommand:
         ],
     )
     def test_bad_tolerance_name_or_value_is_exit_2(self, tmp_path, capsys, override):
-        code = main(["verify", "hypgeom", "--out", str(tmp_path), "--tolerance", override])
+        out = tmp_path / "out"
+        code = main(["verify", "hypgeom", "--out", str(out), "--tolerance", override])
         assert code == 2
         assert "h_width_identity" in capsys.readouterr().err
-        assert not (tmp_path / "verify_hypgeom.json").exists()
+        assert not out.exists()
 
     def test_every_tolerance_is_read_by_a_check(self):
         # A TOLERANCES entry that no check reads would be a --tolerance name
@@ -450,10 +480,11 @@ class TestVerifyCommand:
         assert margin(first) != margin(other)
 
     def test_negative_seed_is_exit_2(self, tmp_path, capsys):
-        code = main(["verify", "qcmaps", "--seed", "-1", "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        code = main(["verify", "qcmaps", "--seed", "-1", "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
-        assert not (tmp_path / "verify_qcmaps.json").exists()
+        assert not out.exists()
 
 
 class TestSimulateCommand:

@@ -118,16 +118,16 @@ class TestRayReparametrization:
 
 class TestHolonomyTubeRadius:
     def test_single_curve_no_weight_term(self):
-        report = holonomy_tube_radius(single_state(), WeightedMulticurve({"g": TWO_PI}))
-        assert dict(report.terms)["weight_ratio"] == 0.0
+        radius = holonomy_tube_radius(single_state(), WeightedMulticurve({"g": TWO_PI}), c=1.0)
+        assert radius == 0.1**0.125
 
     def test_frozen_two_weight_value(self):
         state = LengthState(
             lengths={"a": LengthInterval.point(0.1), "b": LengthInterval.point(0.05)},
         )
         lam = WeightedMulticurve({"a": TWO_PI, "b": 4 * math.pi})
-        report = holonomy_tube_radius(state, lam, c=1.0)
-        assert report.radius == pytest.approx(TUBE_01_RATIO2, rel=1e-13)
+        radius = holonomy_tube_radius(state, lam, c=1.0)
+        assert radius == pytest.approx(TUBE_01_RATIO2, rel=1e-13)
 
     def test_radius_independent_of_lift_index(self):
         # The bound involves no lift index at all; iterating the state and
@@ -135,7 +135,7 @@ class TestHolonomyTubeRadius:
         # same report over a range of hypothetical indices.
         state = single_state()
         lam = WeightedMulticurve({"g": TWO_PI})
-        radii = {holonomy_tube_radius(state, lam).radius for _ in range(1, 51)}
+        radii = {holonomy_tube_radius(state, lam) for _ in range(1, 51)}
         assert len(radii) == 1
 
     def test_shortness_enforced(self):

@@ -2,6 +2,8 @@ import errno
 import json
 import math
 import tracemalloc
+from dataclasses import dataclass
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from graftlab import beltrami_estimate, report, shearing_map
-from graftlab.report import BLOCK_ROWS, dumps, format_float, jsonable, write_csv
+from graftlab.cli import main
+from graftlab.report import BLOCK_ROWS, dumps, format_float, write_csv
+from test_api_surface import cli_runs
 
 # Values whose cells are easy to get wrong: signed zeros, non-finite values,
 # the edges of the integral "%.1f" rule and subnormals.
@@ -46,16 +50,38 @@ class TestDumps:
         assert dumps(obj) == dumps(obj)
 
     def test_dataclasses_and_numpy(self):
-        import numpy as np
-        from dataclasses import dataclass
-
         @dataclass
         class Row:
             a: float
             flag: bool
 
-        payload = jsonable({"row": Row(1.5, True), "arr": np.array([1.0, 2.0]), "b": np.bool_(True)})
-        assert payload == {"row": {"a": 1.5, "flag": True}, "arr": [1.0, 2.0], "b": True}
+        values = {"row": Row(1.5, True), "t": (1, 0.1), "b": np.bool_(True), "x": np.float64(2.0)}
+        text = dumps(values)
+        plain = {"row": {"a": 1.5, "flag": True}, "t": [1, 0.1], "b": True, "x": 2.0}
+        assert text == dumps(plain)
+        assert json.loads(text) == plain
+
+    @pytest.mark.parametrize("value", [np.array([1.0, 2.0]), Path("a")])
+    def test_arrays_and_paths_raise(self, value):
+        with pytest.raises(TypeError, match=f"cannot serialize {type(value).__name__}"):
+            dumps({"k": [value]})
+
+    def test_every_cli_report_renders_to_itself(self, tmp_path, monkeypatch):
+        # The bytes depend on the values alone: a report read back as plain
+        # JSON values renders to the same text, whether its values were
+        # dataclasses, tuples or numpy scalars when it was written.
+        monkeypatch.delenv("GRAFTLAB_CONSTANTS", raising=False)
+        for argv in cli_runs(tmp_path):
+            main(argv)
+        texts = {path: path.read_text(encoding="utf-8") for path in tmp_path.glob("out*/*.json")}
+        values = {path: json.loads(text) for path, text in texts.items()}
+        assert {p.name for p in texts} == {"verify_all.json", "report.json", "qc_report.json"}
+        modes = {v["scenario"]["mode"] for v in values.values() if "scenario" in v}
+        assert modes == {"iterate", "counterexample", "cauchy", "ray"}
+        kinds = {v["map"]["kind"] for v in values.values() if "map" in v}
+        assert kinds == {"twist", "scaling", "shear"}
+        for path, text in texts.items():
+            assert dumps(values[path]) == text, path
 
 
 class TestCsv:
