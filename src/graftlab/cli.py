@@ -2,8 +2,9 @@
 
 Exit codes: 0 = all checks passed / run completed; 1 = at least one check
 failed; 2 = an input that breaks the contract checked in graftlab.scenario
-(scenario file, map spec, --lattice, or an --out that cannot be made a
-directory), or a failed precondition.
+(scenario file, map spec, --lattice, an --out that cannot be made a
+directory, or a report file in it that cannot be opened), or a failed
+precondition.
 Report files are deterministic; timing is printed to the console only.
 """
 

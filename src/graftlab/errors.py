@@ -26,4 +26,4 @@ class UnderflowError(GraftLabError):
 
 
 class ScenarioError(GraftLabError):
-    """A scenario file, map spec or lattice flag breaks the input contract."""
+    """A scenario file, map spec, lattice flag or output path breaks the input contract."""

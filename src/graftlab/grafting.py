@@ -168,7 +168,7 @@ def graft_factors(l_hi: float, t: float) -> GraftFactors:
     upper length endpoint because theta decreases.
     """
     upper = decay_factor(t)
-    lower = _lower_factors(np.array([[l_hi]]), np.array([[t]]))
+    lower = _lower_factors(np.array([[l_hi]]), np.array([[t]]), np.empty((1, 1)))
     return GraftFactors(upper=upper, lower=float(lower[0, 0]))
 
 
@@ -176,15 +176,14 @@ def graft_factors(l_hi: float, t: float) -> GraftFactors:
 LOWER_CHUNK = 4096
 
 
-def _lower_factors(l_hi: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The lower factor of graft_factors at each entry of the rows ``l_hi``, broadcast
-    against the rows of weights ``t``; either may be a single row.
+def _lower_factors(l_hi: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out``, holding the lower factor of graft_factors at each entry of the rows
+    ``l_hi``, broadcast against the rows of weights ``t``; either may be a single row.
 
     The collar angles are taken with ``math`` in row-major order, LOWER_CHUNK
     entries' worth of rows of ``l_hi`` at a time, so that no Python float per entry
     of a whole iterated block is held.
     """
-    out = np.empty(np.broadcast_shapes(l_hi.shape, t.shape))
     step = max(1, LOWER_CHUNK // max(1, l_hi.shape[1]))
     for r0 in range(0, len(l_hi), step):
         rows = slice(r0, r0 + step) if len(l_hi) > 1 else slice(None)
@@ -403,9 +402,15 @@ class GraftingRule:
         self.where = [f"of curve {cid!r}" for cid in self.ids]
 
     def in_id_order(self, lo: np.ndarray, hi: np.ndarray):
-        """(ids, lo, hi) with the columns of rows ``lo`` and ``hi`` in sorted id order."""
+        """(ids, lo, hi) with the columns of rows ``lo`` and ``hi`` put in sorted id order
+        in place, LOWER_CHUNK entries' worth of rows at a time, so that no second copy
+        of either exists."""
         order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
-        return tuple(self.ids[j] for j in order), lo[:, order], hi[:, order]
+        step = max(1, LOWER_CHUNK // max(1, len(order)))
+        for block in (lo, hi):
+            for a in range(0, len(block), step):
+                block[a : a + step] = block[a : a + step, order]
+        return tuple(self.ids[j] for j in order), lo, hi
 
     def weights(self, lam: WeightedMulticurve, s=(1.0,)) -> tuple[np.ndarray, np.ndarray]:
         """Row k of t: the weights of s[k] * ``lam`` at the support curves; and their
@@ -413,23 +418,28 @@ class GraftingRule:
         t = np.multiply.outer(s, [lam[cid] for cid in self.ids[: self.n_support]])
         return t, decay_factor(t)
 
-    def _stack(self, row0: np.ndarray, support, disjoint, n: int) -> np.ndarray:
-        """Rows 0..n: ``row0``, then ``support`` and ``disjoint`` in their columns."""
+    def _stack(self, row0: np.ndarray, disjoint, n: int) -> np.ndarray:
+        """Rows 0..n: ``row0``, then ``disjoint`` in the columns of the curves off the
+        support; the caller fills the support columns of rows 1..n."""
         out = np.empty((n + 1, len(self.ids)))
-        out[0], out[1:, : self.n_support], out[1:, self.n_support :] = row0, support, disjoint
+        out[0], out[1:, self.n_support :] = row0, disjoint
         return out
 
     def iterate(self, lam: WeightedMulticurve, n: int, label=None):
         """Rows 0..n of lo and hi, row k the state after k graftings along ``lam``: each
-        column a running product.  label(k, message) names an underflow in row k + 1."""
+        column a running product, taken in place.  label(k, message) names an underflow
+        in row k + 1."""
         s = self.n_support
         t, upper = self.weights(lam)
-        hi = np.multiply.accumulate(self._stack(self.hi, upper, 1.0, n), axis=0)
+        hi = self._stack(self.hi, 1.0, n)
+        hi[1:, :s] = upper
+        np.multiply.accumulate(hi, axis=0, out=hi)
         # The lo rows stop at a support hi of 0, a row that fails on its lo, so
         # that no collar angle is taken there.
         stop = int(np.argmax(np.append((hi[:-1, :s] == 0.0).any(axis=1), True)))
-        lower = _lower_factors(hi[:stop, :s], t)
-        lo = np.multiply.accumulate(self._stack(self.lo, lower, self.disjoint_lower, stop), axis=0)
+        lo = self._stack(self.lo, self.disjoint_lower, stop)
+        _lower_factors(hi[:stop, :s], t, lo[1:, :s])
+        np.multiply.accumulate(lo, axis=0, out=lo)
         self.require(lo[1:], hi[1 : stop + 1], label)
         return lo, hi
 
@@ -437,9 +447,10 @@ class GraftingRule:
         """Rows 0..len(s) of lo and hi, row k + 1 the state after one grafting along
         s[k] * ``lam`` from row 0.  label(k, message) names an underflow in row k + 1."""
         t, upper = self.weights(lam, s)
-        hi = self._stack(self.hi, upper, 1.0, len(s))
-        lower = _lower_factors(self.hi[None, : self.n_support], t)
-        lo = self._stack(self.lo, lower, self.disjoint_lower, len(s))
+        hi = self._stack(self.hi, 1.0, len(s))
+        hi[1:, : self.n_support] = upper
+        lo = self._stack(self.lo, self.disjoint_lower, len(s))
+        _lower_factors(self.hi[None, : self.n_support], t, lo[1:, : self.n_support])
         lo[1:], hi[1:] = lo[1:] * lo[0], hi[1:] * hi[0]
         self.require(lo[1:], hi[1:], label)
         return lo, hi

@@ -24,32 +24,69 @@ formatted once; a column broadcast along the leading axis has the same
 base in every block and is formatted once per table.  A float slot is as
 wide as the widest cell of its block.
 
-The distinct values are formatted in numpy by an exact %.17g on the fast
-path: finite, non-integral values with 1e-6 < |x| < 1e16.  Every other
-value (NaN, infinities, signed zeros, integral values, |x| <= 1e-6 and
-subnormals) goes through format_float one at a time.  Why the fast path
-writes what f"{x:.17g}" writes:
+The distinct values are formatted in numpy by an exact %.17g: zeros,
+infinities and NaN are constant cells, and every other value, subnormals
+included, has its 17 significant digits computed as an integer N and laid
+out with the same byte gather.  The only exception is a value whose scaled
+product lies within the band _BAND = 2**-30 of a tie or of a decade edge at
+an inexact scale; it goes to format_float.  In practice that is the 30
+values named below (no cell of a grafting trajectory is among them).  Why
+every other cell is what f"{x:.17g}" (or "%.1f" for an integral |x| < 1e16)
+writes, with E = floor(log10 |x|) in [-324, 308], k = 16 - E in [-292, 340]
+and V = |x| * 10**k in [1e16, 1e17):
 
-- Domain.  A non-integral double has |x| < 2**52, so its decimal exponent
-  E = floor(log10 |x|) lies in [-6, 15] and k = 16 - E in [1, 22].  (The
-  double nearest 1e-6 lies below 1e-6, has E = -7 and takes the slow path.)
-- Exact product.  |x| * 2**k is exact, and so is 5**k, because
-  5**22 < 2**53.  Dekker's error-free product (Veltkamp split by 2**27 + 1;
-  T. J. Dekker, Numer. Math. 18, 1971) gives p + err == |x| * 10**k
-  exactly.
+- Table.  On first use, _tables builds one row per k from integers:
+  m = 5**k * 2**(110 - g), rounded to an integer, with g = floor(log2 5**k),
+  so 2**110 <= m <= 2**111 and the error is at most 1/2.  H is m / 2**110
+  rounded to 53 bits (H_int = round(m / 2**58) <= 2**53) and L is the rest,
+  m - H_int * 2**58, rounded to 53 bits (at most 8 more units of m, because
+  |m - H_int * 2**58| <= 2**57).  So 10**k = (H + L) * 2**(g + k) to within
+  a relative 8.5 * 2**-110.
+- Exact scales.  For 0 <= k <= 22, 5**k < 2**53, so m's low 59 bits are
+  zero, H = 5**k * 2**-g exactly and L = 0: every step below is exact, so
+  no cell of -6 <= E <= 16 needs the band.
+- Product.  a = |x| * 2**(g + k) is exact: a power-of-two scaling to a
+  normal double, a subnormal x included (np.ldexp, with an int32 exponent).
+  Dekker's error-free product (Veltkamp split by 2**27 + 1; T. J. Dekker,
+  Numer. Math. 18, 1971) gives p + t == a * H exactly; t += a * L; and
+  Fast2Sum makes p = fl(p + t) with p + t unchanged.  For V < 1e17,
+  a < 1e17 (H + L >= 1), so |a * L| < 1e17 * 2**-53 < 12 rounds by at most
+  2**-50; |t| <= ulp(p) / 2 <= 8 before the sum (p < 2**57), so the sum,
+  below 20, rounds by at most 2**-49; and a times the table's error is below
+  2**-50.  So |p + t - V| < 2**-48, a margin of 2**18 under the band.
 - Exponent.  E starts from floor(log10 |x|), which can be off by one next
-  to a power of ten, and is corrected by testing the exact p + err against
-  1e16 and 1e17, never a rounded value.  A test on the rounded product
-  would give the double nearest 1e-6, which is 1e-6 (1 - 4.5e-17), E = -6,
-  because its product rounds up to 1e16 at k = 22.
-- Tie parity.  p >= 1e16 > 2**53 is an even integer, so
-  N = p + rint(err), with rint rounding half to even, is the
-  round-half-even of p + err, which is how CPython's correctly rounded
-  %.17g rounds.  N < 1e17 because no double below 10**(E+1) lies within
-  half a unit of the 17th digit of it (the closest in the domain lies
-  8.3e-17 below, relative, against 5e-18).
-- Layout.  %.17g uses fixed notation for -4 <= E <= 15 and d.ddde-0X for
-  E in {-6, -5}, and drops trailing zeros and then a trailing point.
+  to a power of ten, and is corrected once by testing p + t against 1e16
+  and 1e17.  Because p = fl(p + t), p + t lies on p's side of an edge that
+  p is not, by at least half the spacing of doubles there (1 next to 1e16,
+  8 next to 1e17), so the test reads p, and t's sign only where p is the
+  edge.  A test on a rounded product would give the double nearest 1e-6,
+  which is 1e-6 (1 - 4.5e-17), E = -6, because its product rounds up to
+  1e16 at k = 22.
+- Tie parity.  p >= 1e16 > 2**53 is an even integer, so N = p + rint(t),
+  with rint rounding half to even, is the round-half-even of p + t, which
+  is how CPython's correctly rounded %.17g rounds.  N can reach 1e17 only
+  from V in [1e17 - 1/2, 1e17), and only at an inexact scale; %.17g then
+  writes 1 at E + 1, and so does the writer.
+- Band.  At an inexact scale, t is within 2**-48 of V - p, so rint(t) is
+  right unless V - p lies within 2**-48 of a half-integer, and the decade
+  test is right unless V lies within 2**-48 of 1e16 or 1e17, where p is the
+  edge and |t| < 2**-47.  A cell goes to format_float when its t lies
+  within _BAND of a half-integer, when p is an edge and |t| < _BAND, or
+  when p + t is still outside [1e16, 1e17) after the correction.  That
+  catches every inexact tie, whose V - p is a half-integer exactly, and
+  every value on a decade edge, whose V is 1e16 or 1e17 exactly.  Both are
+  rare.  A tie needs 2V = m * 5**k * 2**(q + k + 1) odd for x = m * 2**q:
+  that is k = 23 with x = 3, 5, .., 15 times 2**-24 and k = 24 with
+  x = 1 or 3 times 2**-25, while for k < 0 the digits of x would need an
+  odd factor 5**|k| (10 D + 5) >= 1e17 > 2**53.  An edge needs x = 10**E
+  exactly, so E in [17, 22].  Any other value lies in the band with a
+  chance of about 2**-29.
+- Layout.  %.17g uses fixed notation for -4 <= E <= 16 and d.ddde-XX,
+  d.ddde+XX or three exponent digits otherwise, and drops trailing zeros
+  and then a trailing point.  An integral value below 1e16 keeps one zero
+  after its point.  It is told by its digits: 0 <= E <= 15 and no nonzero
+  digit after the point, because a non-integral double is at least
+  ulp(x) >= 2**-53 * 10**E > 10**(E - 16) / 2 from every integer.
 """
 
 from __future__ import annotations
@@ -57,10 +94,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, is_dataclass
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+
+from .errors import ScenarioError
 
 __all__ = ["format_float", "dumps", "write_json", "csv_lines", "write_csv"]
 
@@ -126,8 +164,19 @@ def dumps(obj) -> str:
     return _render(obj, 0) + "\n"
 
 
+def _open(path):
+    """``path`` opened for writing bytes; a path that cannot be opened is a ScenarioError
+    that names it, and an error while writing stays an OSError."""
+    try:
+        return open(path, "wb")
+    except OSError as exc:
+        raise ScenarioError(f"report file {str(path)!r} cannot be written: {exc.strerror}") from exc
+
+
 def write_json(path, obj) -> None:
-    Path(path).write_text(dumps(obj), encoding="utf-8")
+    text = dumps(obj).encode()
+    with _open(path) as fh:
+        fh.write(text)
 
 
 _SPLIT = 134217729.0  # 2**27 + 1
@@ -140,66 +189,153 @@ def _split(a):
     return hi, a - hi
 
 
-_POW5 = (5 ** np.arange(23, dtype=np.int64)).astype(np.float64)  # exact: 5**22 < 2**53
-_POW5_HI, _POW5_LO = _split(_POW5)
+_EMIN, _EMAX = -324, 308  # the decimal exponents of 5e-324 and of the greatest double
+# An inexact scaled value this close to a tie or a decade edge goes to format_float.
+_BAND = 2.0**-30
+
+
 _DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 # Entry g holds the four ASCII digits of g as the four bytes of a uint32.
 _DIGITS = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
 
 
-def _times_pow10(ax: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, err) with p + err == ax * 10**k exactly, for 0 <= k <= 22.
+# A cell is gathered from a source row of 33 bytes: the 17 digits (trailing
+# zeros as NUL), the decimal point (NUL when no digit follows it), the sign
+# ("-" or NUL), NUL, then the constants "0" to "9", "e", "+" and "-".
+_DOT, _SIGN, _NUL, _ZERO, _E, _PLUS, _MINUS = 17, 18, 19, 20, 30, 31, 32
+_CONSTANTS = np.frombuffer(b"0123456789e+-", np.uint8)
 
-    Dekker's error-free product of ax * 2**k and 5**k, both exact doubles.
+
+_TABLES = None  # (shift, H, L, layouts), made by _tables on first use
+
+
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(shift, H, L, layouts), each with one row per exponent: row E - _EMIN serves
+    k = 16 - E.  Built on first use, so that a command that writes no table makes
+    none.
+
+    (H + L) * 2**shift is 10**k to within a relative 8.5 * 2**-110.  From
+    integers: 5**k == m * 2**(g - 110) to within 2**(g - 111), with
+    2**110 <= m <= 2**111; H is m / 2**110 rounded to 53 bits, L the rest of
+    m over 2**110 rounded to 53 bits (an int / int rounds once), and
+    shift = g + k (an int32, which np.ldexp takes in one vector loop).
+    layouts holds the source columns of a cell, as %.17g lays it out.
     """
-    a = np.ldexp(ax, k)
-    p = a * _POW5[k]
+    global _TABLES
+    if _TABLES is not None:
+        return _TABLES
+    rows = []  # (k, g, m)
+    five = 1
+    for k in range(341):  # 5**k, exact, rounded to 111 bits
+        b = five.bit_length()
+        m = five << (111 - b) if b <= 111 else (five + (1 << (b - 112))) >> (b - 111)
+        rows.append((k, b - 1, m))
+        five *= 5
+    five = 5
+    for k in range(1, 293):  # 2**(110 + b) / 5**k rounded to nearest; 5**k is odd, so no tie
+        b = five.bit_length()
+        q, r = divmod(1 << (110 + b), five)
+        rows.append((-k, -b, q + (2 * r > five)))
+        five *= 5
+    rows.sort(reverse=True)  # k from 340 down to -292: E from _EMIN up to _EMAX
+    h = [(m + (1 << 57)) >> 58 for _, _, m in rows]  # at most 2**53, so exact as a double
+    layouts = []
+    for e in range(_EMIN, _EMAX + 1):
+        if e > 16 or e < -4:  # d.dddde+XX or d.dddde-XXX
+            exponent = [_ZERO + int(d) for d in f"{abs(e):02d}"]
+            cols = [_SIGN, 0, _DOT, *range(1, 17), _E, _MINUS if e < 0 else _PLUS, *exponent]
+        elif e >= 0:
+            cols = [_SIGN, *range(e + 1), _DOT, *range(e + 1, 17)]
+        else:
+            cols = [_SIGN, _ZERO, _DOT, *[_ZERO] * (-e - 1), *range(17)]
+        layouts.append(bytes(cols).ljust(_WIDTH, bytes([_NUL])))
+    _TABLES = (
+        np.array([k + g for k, g, _ in rows], np.int32),
+        np.array([hm / 2**52 for hm in h]),
+        np.array([(m - (hm << 58)) / 2**110 for (_, _, m), hm in zip(rows, h)]),
+        np.frombuffer(b"".join(layouts), np.uint8).reshape(-1, _WIDTH),
+    )
+    return _TABLES
+
+
+def _scaled(ax: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, t) with p == fl(p + t) and p + t == ax * 10**(16 - e): exactly for
+    -6 <= e <= 16, and to within 2**-48 wherever ax * 10**(16 - e) < 1e17.
+
+    Dekker's error-free product of ax * 2**(g + k) and H, plus the product
+    with L, then Fast2Sum.
+    """
+    shift, high, low, _ = _tables()
+    row = e - _EMIN
+    a = np.ldexp(ax, shift[row])
+    h = high[row]
+    p = a * h
     a_hi, a_lo = _split(a)
-    del a
-    b_hi, b_lo = _POW5_HI[k], _POW5_LO[k]
-    # a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo), with fewer temporaries
-    err = p - a_hi * b_hi
-    err -= a_lo * b_hi
-    err -= a_hi * b_lo
-    return p, np.subtract(a_lo * b_lo, err, out=err)
+    h_hi, h_lo = _split(h)
+    # a_lo * h_lo - (((p - a_hi * h_hi) - a_lo * h_hi) - a_hi * h_lo), with fewer temporaries
+    t = p - a_hi * h_hi
+    t -= a_lo * h_hi
+    t -= a_hi * h_lo
+    np.subtract(a_lo * h_lo, t, out=t)  # p + t == a * H exactly
+    del a_hi, a_lo, h_hi, h_lo, h
+    t += a * low[row]
+    s = p + t
+    t -= s - p
+    return s, t
 
 
-def _exact_digits(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(N, E): the 17 significant digits of each ``ax`` as an integer, and its decimal exponent.
+def _decade(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """-1, 0 or 1 as p + t lies below 1e16, in [1e16, 1e17) or at or above 1e17."""
+    high = (p > 1e17) | ((p == 1e17) & (t >= 0))
+    return high.astype(np.int64) - ((p < 1e16) | ((p == 1e16) & (t < 0)))
 
-    ``ax`` is positive and in the fast-path domain; 1e16 <= N < 1e17 is the
+
+def _exact_digits(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, E, unsure): the 17 significant digits of each ``ax`` as an integer
+    1e16 <= N < 1e17, its decimal exponent, and whether it lies in the band.
+
+    ``ax`` is positive and finite.  Where ``unsure`` is False, N is the
     round-half-even of ax * 10**(16 - E).
     """
-    e = np.clip(np.floor(np.log10(ax)), -6, 15).astype(np.int64)
-    p, err = _times_pow10(ax, 16 - e)
-    low = (p < 1e16) | ((p == 1e16) & (err < 0))  # p + err < 1e16, exactly
-    high = (p > 1e17) | ((p == 1e17) & (err >= 0))  # p + err >= 1e17, exactly
-    fix = low | high
-    if fix.any():
-        e[fix] += high[fix].astype(np.int64) - low[fix]
-        p[fix], err[fix] = _times_pow10(ax[fix], 16 - e[fix])
-    return p.astype(np.int64) + np.rint(err).astype(np.int64), e
+    e = np.clip(np.floor(np.log10(ax)), _EMIN, _EMAX).astype(np.int64)
+    p, t = _scaled(ax, e)
+    shift = _decade(p, t)
+    unsure = shift != 0
+    if unsure.any():
+        e[unsure] = np.clip(e[unsure] + shift[unsure], _EMIN, _EMAX)
+        p[unsure], t[unsure] = _scaled(ax[unsure], e[unsure])
+        unsure[unsure] = _decade(p[unsure], t[unsure]) != 0  # only next to a decade edge
+    del shift
+    inexact = (e < -6) | (e > 16)
+    if inexact.any():
+        pi, ti = p[inexact], t[inexact]
+        tie = np.abs(ti - np.floor(ti) - 0.5) < _BAND
+        edge = ((pi == 1e16) | (pi == 1e17)) & (np.abs(ti) < _BAND)
+        unsure[inexact] |= tie | edge
+    n = p.astype(np.int64) + np.rint(t).astype(np.int64)
+    carry = n == 10**17  # rounded up to the next decade: one digit and E + 1
+    if carry.any():
+        n[carry] = 10**16
+        e[carry] += 1
+    return n, e, unsure
 
 
-# A fast cell is gathered from a source row of 25 bytes: the 17 digits
-# (trailing zeros as NUL), the decimal point (NUL when no digit follows it),
-# the constants "0", "e", "-", "5", "6", the sign ("-" or NUL) and NUL.
-_DOT, _ZERO, _E, _MINUS, _FIVE, _SIX, _SIGN, _NUL = range(17, 25)
-_LAYOUT = np.full((22, _WIDTH), _NUL)  # row E + 6: source columns of a cell, as %.17g lays it out
-for _e in range(-6, 16):
-    if _e >= 0:
-        _cols = [_SIGN, *range(_e + 1), _DOT, *range(_e + 1, 17)]
-    elif _e >= -4:
-        _cols = [_SIGN, _ZERO, _DOT, *[_ZERO] * (-_e - 1), *range(17)]
-    else:
-        _cols = [_SIGN, 0, _DOT, *range(1, 17), _E, _MINUS, _ZERO, _FIVE if _e == -5 else _SIX]
-    _LAYOUT[_e + 6, : len(_cols)] = _cols
-del _e, _cols
+# The cells of 0.0, -0.0, Infinity, -Infinity and NaN.
+_SPECIAL = np.array([b"0.0", b"-0.0", b"Infinity", b"-Infinity", b"NaN"], f"S{_WIDTH}")
+_SPECIAL = _SPECIAL.view(np.uint8).reshape(-1, _WIDTH)
 
 
-def _fast_cells(x: np.ndarray) -> np.ndarray:
-    """The cells of values in the fast-path domain, as rows of _WIDTH NUL-padded bytes."""
-    n, e = _exact_digits(np.abs(x))
+def _cells(x: np.ndarray) -> np.ndarray:
+    """format_float of each float64 in ``x``, as rows of _WIDTH NUL-padded ASCII bytes.
+
+    ``x`` holds distinct values in the order of their bit patterns, as
+    np.unique returns them, so on either side of the sign the exponents rise.
+    """
+    ax = np.abs(x)
+    special = ~((ax > 0) & (ax < np.inf))  # zeros, infinities and NaN
+    ax[special] = 1.0
+    n, e, unsure = _exact_digits(ax)
+    del ax
     # The digits in groups of 1, 4, 4, 4 and 4, written in place: the
     # temporaries of this step set the peak memory of a block.
     groups = np.empty((len(x), 5), np.int64)
@@ -212,35 +348,29 @@ def _fast_cells(x: np.ndarray) -> np.ndarray:
     digits = _DIGITS[groups].view(np.uint8)[:, 3:]
     del groups
     last = 16 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)  # last nonzero digit
-    source = np.empty((len(x), _NUL + 1), np.uint8)
-    np.multiply(digits, np.arange(17) <= np.maximum(last, e)[:, None], out=source[:, :17])
-    source[:, _DOT] = np.where(last > np.where(e < -4, 0, e), ord("."), 0)
-    del digits, last
-    source[:, _ZERO:_SIGN] = np.frombuffer(b"0e-56", np.uint8)
+    point = np.where((e < -4) | (e > 16), 0, e)  # the digit before the point (< 0 in "0.00d")
+    # An integral value below 1e16 keeps one zero after the point, as "%.1f" writes it.
+    keep = np.maximum(last, point + ((e <= 15) & (last <= e)))
+    del last
+    source = np.empty((len(x), _MINUS + 1), np.uint8)
+    np.multiply(digits, np.arange(17) <= keep[:, None], out=source[:, :17])
+    source[:, _DOT] = np.where(keep > point, ord("."), 0)
+    del digits, keep, point
     source[:, _SIGN] = np.where(x < 0, ord("-"), 0)
     source[:, _NUL] = 0
-    # Distinct values come sorted, so each exponent is one run of rows (no run if x is empty).
+    source[:, _ZERO:] = _CONSTANTS
+    layouts = _tables()[3]
     cells = np.empty((len(x), _WIDTH), np.uint8)
     bounds = [*np.flatnonzero(np.diff(e, prepend=e[:1] - 1)).tolist(), len(x)]
-    for a, b in zip(bounds, bounds[1:]):
-        cells[a:b] = source[a:b, _LAYOUT[e[a] + 6]]
-    return cells
-
-
-def _cells(x: np.ndarray) -> np.ndarray:
-    """format_float of each float64 in ``x``, as rows of _WIDTH NUL-padded ASCII bytes."""
-    ax = np.abs(x)
-    fast = (ax > 1e-6) & (ax < 1e16)
-    del ax
-    fast[fast] = x[fast] != np.trunc(x[fast])
-    if fast.all():
-        return _fast_cells(x)
-    quick = _fast_cells(x[fast])
-    cells = np.empty((len(x), _WIDTH), np.uint8)
-    cells[fast] = quick
-    del quick
-    slow = [format_float(v) for v in x[~fast].tolist()]
-    cells[~fast] = np.array(slow, dtype=f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
+    for a, b in zip(bounds, bounds[1:]):  # each run of one exponent
+        cells[a:b] = source[a:b, layouts[e[a] - _EMIN]]
+    del source
+    if special.any():
+        s = x[special]
+        cells[special] = _SPECIAL[np.where(np.isnan(s), 4, 2 * np.isinf(s) + np.signbit(s))]
+    if unsure.any():
+        slow = [format_float(v) for v in x[unsure].tolist()]
+        cells[unsure] = np.array(slow, dtype=f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
     return cells
 
 
@@ -250,7 +380,9 @@ def _float_cells(column: np.ndarray) -> np.ndarray:
     base = column[tuple(slice(None, 1) if step == 0 else slice(None) for step in column.strides)]
     bits, inverse = np.unique(base.view(np.int64).ravel(), return_inverse=True)
     cells = _cells(bits.view(np.float64))
-    width = _WIDTH - np.argmax(cells.any(axis=0)[::-1])  # the last byte any cell uses
+    width = _WIDTH
+    while not cells[:, width - 1].any():  # the last byte any cell uses; no cell is empty
+        width -= 1
     return cells[:, :width][inverse.ravel()].reshape(*base.shape, width)
 
 
@@ -325,6 +457,6 @@ def csv_lines(header: list[str], *columns: np.ndarray) -> Iterator[bytes]:
 def write_csv(path, header: list[str], *columns: np.ndarray) -> None:
     lines = csv_lines(header, *columns)
     first = next(lines)  # checks the columns before the file is opened and truncated
-    with open(path, "wb") as fh:
+    with _open(path) as fh:
         fh.write(first)
         fh.writelines(lines)

@@ -258,6 +258,31 @@ class TestInputContract:
         assert err.count("\n") == 1
         assert blocker.read_text() == "kept"
 
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [("verify", "verify_grafting.json"), ("simulate", "report.json"),
+         ("qc-check", "mu_65.csv")],
+    )
+    def test_report_file_that_cannot_be_opened_is_one_line(
+        self, tmp_path, capsys, command, blocked
+    ):
+        # A directory where the report file goes: the command exits 2 with one line
+        # that names the file, after writing the files before it.
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        if command == "verify":
+            argv = ["verify", "grafting"]
+        else:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(SCENARIO if command == "simulate" else MAP_SPEC))
+            argv = [command, "--scenario", str(path)]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: report file {str(out / blocked)!r} cannot be written: ")
+        assert err.count("\n") == 1
+        written = {"verify": set(), "simulate": {"trajectory.csv"}, "qc-check": {"mu_33.csv"}}
+        assert {p.name for p in out.iterdir() if p.is_file()} == written[command]
+
 
 class TestScenarioLoading:
     def test_load_shipped_scenarios(self):

@@ -1,6 +1,8 @@
 import errno
 import json
 import math
+import random
+import sys
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
@@ -10,8 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from graftlab import beltrami_estimate, report, shearing_map
-from graftlab.cli import main
+from graftlab import (
+    LengthInterval, LengthState, WeightedMulticurve, beltrami_estimate, iterate_grafting, report,
+    shearing_map,
+)
+from graftlab.cli import _trajectory_columns as trajectory_columns, main
+from graftlab.errors import ScenarioError
 from graftlab.report import BLOCK_ROWS, dumps, format_float, write_csv
 from test_api_surface import cli_runs
 
@@ -321,6 +327,27 @@ class TestPool:
         assert raised.value.errno == errno.ENOSPC
         assert disk.chunks == [b"v\n", b"0.0\n1.0\n2.0\n3.0\n"]
 
+    def test_json_write_error_reaches_the_caller(self, tmp_path):
+        opened = mock.mock_open()
+        opened.return_value.write.side_effect = OSError(errno.ENOSPC, "No space left on device")
+        with mock.patch.object(report, "open", opened, create=True):
+            with pytest.raises(OSError) as raised:
+                report.write_json(tmp_path / "r.json", {"a": 1.5})
+        assert raised.value.errno == errno.ENOSPC
+        assert not isinstance(raised.value, ScenarioError)
+
+    @pytest.mark.parametrize("write", [
+        lambda path: write_csv(path, ["v"], np.arange(3.0)),
+        lambda path: report.write_json(path, {"a": 1.5}),
+    ], ids=["csv", "json"])
+    def test_a_path_that_cannot_be_opened_is_a_scenario_error(self, tmp_path, write):
+        (tmp_path / "d").mkdir()
+        with pytest.raises(ScenarioError) as raised:
+            write(tmp_path / "d")
+        message = f"report file {str(tmp_path / 'd')!r} cannot be written: "
+        assert str(raised.value).startswith(message)
+        assert isinstance(raised.value.__cause__, IsADirectoryError)
+
     def test_closing_the_lines_early_stops_the_pool(self):
         lines = report.csv_lines(["v"], np.arange(40.0))
         with mock.patch.object(report, "_block", wraps=report._block) as block:
@@ -331,37 +358,51 @@ class TestPool:
         assert block.call_count == 1
 
 
+# The values whose cells the vectorized %.17g leaves to format_float, with either
+# sign: the exact ties at an inexact scale, m * 2**-24 (m odd, k = 23) and
+# m * 2**-25 (k = 24), which have 18 significant digits ending in 5, and the
+# powers of ten 1e17 to 1e22, exact doubles on a decade edge at k < 0.
+IN_BAND = [m * 2.0**-24 for m in range(3, 17, 2)] + [2.0**-25, 3 * 2.0**-25]
+IN_BAND += [float(f"1e{e}") for e in range(17, 23)]
+IN_BAND += [-x for x in IN_BAND]
+
+
 def assert_column_matches_reference(tmp_path, values):
-    """write_csv of ``values`` as one column writes format_float of each value."""
+    """write_csv of ``values`` as one column writes format_float of each value, and
+    calls format_float once for each distinct value of IN_BAND among them, and
+    for no other."""
     column = np.asarray(values, dtype=np.float64).ravel()
-    write_csv(tmp_path / "t.csv", ["v"], column)
+    with mock.patch.object(report, "format_float", wraps=format_float) as slow:
+        write_csv(tmp_path / "t.csv", ["v"], column)
     written = (tmp_path / "t.csv").read_text().splitlines()[1:]
     expected = list(map(format_float, column.tolist()))
     if written != expected:
         wrong = [(v, w, e) for v, w, e in zip(column.tolist(), written, expected) if w != e]
         pytest.fail(f"{len(written)} cells for {len(expected)} values; "
                     f"(value, written, expected): {wrong[:5]}")
+    assert slow.call_count == len(set(column[np.isin(column, IN_BAND)].tolist()))
 
 
 def near_powers_of_ten() -> list[float]:
-    """Each power of ten from 1e-7 to 1e16 with its two neighbouring doubles."""
+    """Each power of ten from 1e-323 to 1e308 with its two neighbouring doubles."""
     return [
         math.nextafter(float(f"1e{e}"), direction) if direction else float(f"1e{e}")
-        for e in range(-7, 17)
+        for e in range(-323, 309)
         for direction in (-math.inf, 0, math.inf)
     ]
 
 
 SIGN_BIT = 1 << 63
-# Bit patterns of the positive doubles from 2**-20 to 2**53: the fast path's domain and its edges.
+# Bit patterns of the positive doubles from 2**-20 to 2**53, where the scale is exact.
 BAND = (int(np.float64(2.0**-20).view(np.uint64)), int(np.float64(2.0**53).view(np.uint64)))
 FAST_BAND = st.integers(*BAND)
 
 
 class TestVectorizedFormat:
     """The numpy %.17g that writes float tables matches format_float on values
-    chosen to break it: raw bit patterns, the edges of its domain, the exponent
-    steps at each power of ten and exact decimal ties."""
+    chosen to break it: raw bit patterns, the edges of each decade, the
+    exponent steps at each power of ten and exact decimal ties.  Every value
+    but those of IN_BAND is formatted in numpy."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -385,9 +426,10 @@ class TestVectorizedFormat:
     def test_powers_of_ten_and_domain_edges(self, tmp_path):
         edges = near_powers_of_ten() + [
             1e-6,  # the double nearest 1e-6 lies below it: 9.9999999999999995e-07
-            1e16, math.nextafter(1e16, 0.0), 2.0**52 - 0.5, 2.0**52, 2.0**52 + 1.0,
-            5e-324, 2.2250738585072014e-308, math.nextafter(2.2250738585072014e-308, 0.0),
-            0.0, 1.0, 0.5, 1.5, 0.1, 0.3, 2.0 / 3.0, math.pi, 1e-5, 1.5e-5, 1e-4, 1.5e-4,
+            1e16, 1e17, math.nextafter(1e16, 0.0), 9999999999999998.0, 2.0**52 - 0.5,
+            2.0**52, 2.0**52 + 1.0, 1e308, sys.float_info.max, 5e-324, 2.2250738585072014e-308,
+            math.nextafter(2.2250738585072014e-308, 0.0), 0.0, math.nan, math.inf, 1.0, 0.5,
+            1.5, 0.1, 0.3, 2.0 / 3.0, math.pi, 1e-5, 1.5e-5, 1e-4, 1.5e-4,
         ]
         assert_column_matches_reference(tmp_path, edges + [-x for x in edges])
 
@@ -397,10 +439,54 @@ class TestVectorizedFormat:
         ties = np.arange(131072, 1310720) * 2.0**-17
         assert_column_matches_reference(tmp_path, np.concatenate([ties, -ties]))
 
+    def test_ties_and_decade_edges_at_inexact_scales(self, tmp_path):
+        # 3 / 2**24 * 10**23 is 3 * 5**23 / 2, a tie that no double-double product
+        # can tell from its neighbours, so its cell comes from format_float.
+        assert format_float(3 / 2**24) == "1.7881393432617188e-07"
+        assert_column_matches_reference(tmp_path, IN_BAND + [np.nextafter(x, 0) for x in IN_BAND])
+
+    def test_integral_values_from_2_52_past_1e16(self, tmp_path):
+        # "%.1f" below 1e16 and %.17g from 1e16 on, with every exponent in between.
+        rng = np.random.default_rng(52)
+        edges = [2.0**52, 2.0**53, 1e16, 1e17]
+        steps = np.concatenate([np.arange(-64.0, 64.0) * np.spacing(x) + x for x in edges])
+        drawn = rng.integers(2**52, 2**57, size=20_000).astype(np.float64)
+        assert_column_matches_reference(tmp_path, np.concatenate([steps, drawn, -drawn]))
+
     def test_random_bit_patterns(self, tmp_path):
         rng = np.random.default_rng(20240611)
         raw = rng.integers(0, 2**64, size=100_000, dtype=np.uint64)
-        # The same number again inside the fast path's band, with either sign.
+        # The same number again where the scale is exact, with either sign.
         band = rng.integers(*BAND, size=100_000, dtype=np.uint64, endpoint=True)
         band |= rng.integers(0, 2, size=band.size, dtype=np.uint64) << np.uint64(63)
         assert_column_matches_reference(tmp_path, np.concatenate([raw, band]).view(np.float64))
+
+    def test_cells_forced_into_the_band_match_format_float(self, tmp_path):
+        # With a band of 1/8 on either side of a tie, a quarter of the values at an
+        # inexact scale lie in it, so fallback cells and numpy cells share a block.
+        rng = np.random.default_rng(30)
+        values = rng.integers(0, 2**64, size=20_000, dtype=np.uint64).view(np.float64)
+        with mock.patch.object(report, "_BAND", 0.125):
+            with mock.patch.object(report, "format_float", wraps=format_float) as slow:
+                write_csv(tmp_path / "t.csv", ["v"], values)
+        assert 0.2 * len(values) < slow.call_count < 0.3 * len(values)
+        assert (tmp_path / "t.csv").read_bytes() == reference_csv(["v"], values)
+
+    def test_a_multicurve_trajectory_calls_format_float_for_no_cell(self):
+        # 64 support and 64 disjoint curves for 300 steps, whose lo and hi fall to
+        # 1e-140 and below: every cell of the table is formatted in numpy.
+        rng = random.Random(7)
+        ids = [f"s{i:02d}" for i in range(64)] + [f"d{i:02d}" for i in range(64)]
+        lengths = {}
+        for cid in ids:
+            lo = rng.uniform(0.01, 0.09)
+            lengths[cid] = LengthInterval(lo, lo * rng.uniform(1.0, 1.1))
+        lam = WeightedMulticurve({cid: rng.uniform(math.pi / 2, 2 * math.pi) for cid in ids[:64]})
+        traj = iterate_grafting(LengthState(lengths, 0.1), lam, 300)
+        assert traj.lo.min() < 1e-140
+        columns = trajectory_columns(traj)
+        header = ["step", "curve", "lo", "hi", "decay_factor"]
+        with mock.patch.object(report, "format_float", wraps=format_float) as slow:
+            text = b"".join(report.csv_lines(header, *columns))
+        assert slow.call_count == 0
+        assert text == reference_csv(header, *columns)
