@@ -12,15 +12,11 @@ from .hypgeom import (
     scan_small_length_thresholds,
 )
 from .annuli import (
-    RoundAnnulus,
     cylinder_boundary_distance,
     extended_cylinder_modulus,
-    from_log_coords,
     grafting_sector_angles,
-    modulus,
     separation_factor,
     standard_collar_modulus,
-    to_log_coords,
 )
 from .qcmaps import (
     GridMap,
@@ -59,7 +55,6 @@ from .dynamics import (
     collapse_distance_bound,
     counterexample_analysis,
     endpoint_cauchy_analysis,
-    geometric_convergence_threshold,
     holonomy_tube_radius,
     iterate_grafting,
     iterated_lift_radius,

@@ -1,91 +1,25 @@
-"""Conformal annuli, moduli and logarithmic coordinates.
+"""Collar and grafting-cylinder annuli: moduli, sector angles, separation.
 
-Two coordinate scales appear for a round annulus ``{inner < |z| < outer}``:
-
-* the conformal modulus ``Mod = log(outer/inner) / (2 pi)``, used by every
-  dilatation formula (a rectangle of height Mod and circumference 1 is the
-  conformal model of the annulus);
-* the raw log-width ``log(outer/inner) = 2 pi Mod``, which parametrizes the
-  literal logarithmic chart ``(t, x) -> exp(t + 2 pi i x)``.
-
-``to_log_coords``/``from_log_coords`` use the log-width scale; everything
-that feeds a quasiconformality constant uses the modulus scale.
+Moduli here are on the conformal scale ``Mod = height / circumference`` (a
+round annulus ``{inner < |z| < outer}`` has ``Mod = log(outer/inner) /
+(2 pi)``), the scale every dilatation formula reads: the standard collar of
+a geodesic of length l has ``Mod = 2 theta(l) / l``, and grafting a cylinder
+of height t into it gives ``(2 theta(l) + t) / l``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 from .hypgeom import collar_angle
 
 __all__ = [
-    "RoundAnnulus",
-    "modulus",
-    "to_log_coords",
-    "from_log_coords",
     "extended_cylinder_modulus",
     "grafting_sector_angles",
     "cylinder_boundary_distance",
     "separation_factor",
     "standard_collar_modulus",
 ]
-
-TWO_PI = 2.0 * math.pi
-LOG_COORDS_TOL = 1e-9  # how far outside [0, log_width] a point's t may fall
-
-
-@dataclass(frozen=True)
-class RoundAnnulus:
-    """Round annulus {inner < |z| < outer}, 0 < inner < outer."""
-
-    inner: float
-    outer: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.inner < self.outer) or math.isinf(self.outer):
-            raise ValueError(
-                f"round annulus needs 0 < inner < outer < inf, got {self.inner!r}, {self.outer!r}"
-            )
-
-    @property
-    def log_width(self) -> float:
-        return math.log(self.outer / self.inner)
-
-
-def modulus(annulus: RoundAnnulus) -> float:
-    """Conformal modulus of a round annulus: log(outer/inner) / (2 pi)."""
-    return annulus.log_width / TWO_PI
-
-
-def to_log_coords(annulus: RoundAnnulus, z: complex) -> tuple[float, float]:
-    """Log coordinates (t, x) of z: t = log|z/inner| in [0, log_width], x = arg/2pi in [0, 1).
-
-    z must lie in the closed annulus, up to LOG_COORDS_TOL in t.
-    """
-    r = abs(z) / annulus.inner
-    width = annulus.log_width
-    if r <= 0.0:
-        raise ValueError("z = 0 is not in the annulus")
-    t = math.log(r)
-    if t < -LOG_COORDS_TOL or t > width + LOG_COORDS_TOL:
-        raise ValueError(
-            f"point with |z|={abs(z)!r} lies outside the closed annulus "
-            f"[{annulus.inner!r}, {annulus.outer!r}]"
-        )
-    t = min(max(t, 0.0), width)
-    x = (cmath.phase(z) / TWO_PI) % 1.0
-    return t, x
-
-
-def from_log_coords(log_width: float, t: float, x: float) -> complex:
-    """Inverse chart exp(t + 2 pi i x) for the annulus normalized to inner radius 1."""
-    if not log_width > 0.0:
-        raise ValueError(f"log_width must be positive, got {log_width!r}")
-    if t < 0.0 or t > log_width:
-        raise ValueError(f"t={t!r} outside [0, {log_width!r}]")
-    return cmath.exp(complex(t, TWO_PI * x))
 
 
 def extended_cylinder_modulus(l: float, t: float) -> float:

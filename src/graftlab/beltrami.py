@@ -180,7 +180,11 @@ def convergence_order(errors: list[float], reference: float) -> list[float]:
 
     Entries where both errors sit below EXACTNESS_FLOOR * reference are
     reported as inf: the scheme is exact at that resolution (affine maps
-    differentiate exactly) and no finite order can be observed.
+    differentiate exactly) and no finite order can be observed.  A fine
+    error of exactly 0 also gives inf, and a coarse error of exactly 0 with
+    a fine error above the floor gives -inf, the limit of log2(e_h / e_{h/2})
+    as e_h -> 0: the error grew from an exact zero.  JSON writes either
+    infinity as null.
     """
     floor = EXACTNESS_FLOOR * abs(reference)
     orders = []
@@ -189,6 +193,8 @@ def convergence_order(errors: list[float], reference: float) -> list[float]:
             orders.append(math.inf)
         elif fine == 0.0:
             orders.append(math.inf)
+        elif coarse == 0.0:
+            orders.append(-math.inf)
         else:
             orders.append(math.log2(coarse / fine))
     return orders

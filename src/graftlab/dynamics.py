@@ -35,7 +35,6 @@ __all__ = [
     "counterexample_analysis",
     "CauchyReport",
     "endpoint_cauchy_analysis",
-    "geometric_convergence_threshold",
 ]
 
 
@@ -262,17 +261,3 @@ def endpoint_cauchy_analysis(
         tail_sums=tuple(tails),
         tail_closed_forms=tuple(closed),
     )
-
-
-def geometric_convergence_threshold(l: float, delta: float) -> float:
-    """Minimal cylinder height making the grafted cylinder dominate both disk collars.
-
-    s_min = 2 l Mod(punctured-disk remnant) = (l / pi) log(1 / delta) for
-    the radius-delta cusp neighbourhoods; linear in l and vanishing as
-    delta -> 1.
-    """
-    if not l > 0.0:
-        raise ValueError(f"l must be positive, got {l!r}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    return (l / math.pi) * math.log(1.0 / delta)

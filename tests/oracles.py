@@ -38,10 +38,6 @@ def freehomotopy_distance(l_long, l_geo):
     return mp.acosh(mp.sqrt(num / den))
 
 
-def round_modulus(inner, outer):
-    return mp.log(mp.mpf(outer) / mp.mpf(inner)) / (2 * PI)
-
-
 def extended_cylinder_modulus(l, t):
     return (2 * theta(l) + mp.mpf(t)) / mp.mpf(l)
 

@@ -2,97 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from graftlab import annuli, hypgeom
 
 import oracles
 
-MOD_1_2 = 0.1103178000763258          # log(2)/(2 pi)
 EXTCYL_01_2PI = 93.24819601413276     # (2 theta(0.1) + 2 pi)/0.1
 PHI_01_2PI = 1.0584230926669632
 PHICOMP_01_2PI = 0.5123732341279334
 BDIST_01_2PI = 1.3396305946870117
 COLLARMOD_01 = 30.416342942336896
-
-
-class TestRoundAnnulus:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            annuli.RoundAnnulus(2.0, 1.0)
-        with pytest.raises(ValueError):
-            annuli.RoundAnnulus(0.0, 1.0)
-
-
-class TestModulus:
-    def test_full_turn(self):
-        assert annuli.modulus(annuli.RoundAnnulus(1.0, math.exp(2 * math.pi))) == pytest.approx(
-            1.0, rel=1e-15
-        )
-
-    def test_frozen_value(self):
-        assert annuli.modulus(annuli.RoundAnnulus(1.0, 2.0)) == pytest.approx(MOD_1_2, rel=1e-14)
-        assert MOD_1_2 == pytest.approx(oracles.as_float(oracles.round_modulus(1, 2)), rel=1e-15)
-
-    def test_scale_invariance(self):
-        a = annuli.RoundAnnulus(1.0, 2.0)
-        scaled = annuli.RoundAnnulus(3.7 * a.inner, 3.7 * a.outer)
-        assert annuli.modulus(scaled) == pytest.approx(annuli.modulus(a), abs=1e-12)
-
-    @given(
-        st.floats(min_value=0.05, max_value=10.0),
-        st.floats(min_value=1.01, max_value=100.0),
-        st.floats(min_value=0.01, max_value=100.0),
-    )
-    def test_scale_invariance_property(self, inner, ratio, c):
-        a = annuli.RoundAnnulus(inner, inner * ratio)
-        scaled = annuli.RoundAnnulus(c * a.inner, c * a.outer)
-        assert annuli.modulus(scaled) == pytest.approx(annuli.modulus(a), abs=1e-12)
-
-    def test_additive_over_concentric_splits(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            radii = np.sort(rng.uniform(0.5, 30.0, size=4))
-            parts = sum(
-                annuli.modulus(annuli.RoundAnnulus(radii[i], radii[i + 1])) for i in range(3)
-            )
-            whole = annuli.modulus(annuli.RoundAnnulus(radii[0], radii[3]))
-            assert parts == pytest.approx(whole, abs=1e-12)
-
-
-class TestLogCoords:
-    def test_inner_base_point(self):
-        assert annuli.from_log_coords(1.0, 0.0, 0.0) == pytest.approx(1.0 + 0.0j)
-
-    def test_frozen_quarter_turn(self):
-        # exp(1 + 2 pi i / 4) = e * i
-        got = annuli.from_log_coords(1.0, 1.0, 0.25)
-        assert got == pytest.approx(math.e * 1j, rel=1e-14)
-
-    def test_roundtrip_on_random_lattice(self):
-        rng = np.random.default_rng(11)
-        ann = annuli.RoundAnnulus(1.0, math.exp(2.3))
-        for _ in range(200):
-            t = float(rng.uniform(0.0, ann.log_width))
-            x = float(rng.uniform(0.0, 1.0))
-            z = annuli.from_log_coords(ann.log_width, t, x)
-            t2, x2 = annuli.to_log_coords(ann, z)
-            assert t2 == pytest.approx(t, abs=1e-12)
-            assert (x2 - x + 0.5) % 1.0 - 0.5 == pytest.approx(0.0, abs=1e-12)
-
-    def test_boundary_identification(self):
-        ann = annuli.RoundAnnulus(2.0, 8.0)
-        t_in, _ = annuli.to_log_coords(ann, 2.0 + 0.0j)
-        t_out, _ = annuli.to_log_coords(ann, 8.0 + 0.0j)
-        assert t_in == 0.0
-        assert t_out == pytest.approx(ann.log_width, rel=1e-15)
-
-    def test_rejects_outside_point(self):
-        ann = annuli.RoundAnnulus(1.0, 2.0)
-        with pytest.raises(ValueError):
-            annuli.to_log_coords(ann, 4.0 + 0.0j)
-        with pytest.raises(ValueError):
-            annuli.to_log_coords(ann, 0.5j)
 
 
 class TestExtendedCylinderModulus:

@@ -126,6 +126,10 @@ class TestConvergence:
         orders = convergence_order([1e-16, 2e-16], 1.0)
         assert orders == [math.inf]
 
+    def test_error_grown_from_exact_zero_reported_as_minus_inf(self):
+        orders = convergence_order([0.0, 1e-3], 1.0)
+        assert orders == [-math.inf]
+
     def test_mixed_sequence(self):
         orders = convergence_order([4e-4, 1e-4], 1.0)
         assert orders[0] == pytest.approx(2.0)

@@ -16,7 +16,6 @@ from graftlab import (
     counterexample_analysis,
     decay_factor,
     endpoint_cauchy_analysis,
-    geometric_convergence_threshold,
     holonomy_tube_radius,
     iterate_grafting,
     iterated_lift_radius,
@@ -32,7 +31,6 @@ LIFT_Q_2PI = 0.8716855428717357        # 3^(-1/8)
 LIFT_LIMIT_MULT = 7.793354095714957    # 1/(1 - 3^(-1/8))
 TUBE_01_RATIO2 = 1.4430413898924011    # 0.1^(1/8) + log 2
 COLLAPSE_01_2PI = 0.5601423259488289
-THRESHOLD_01_01 = 0.07329355988794277  # (0.1/pi) log 10
 
 TWO_PI = 2 * math.pi
 
@@ -345,24 +343,3 @@ class TestEndpointCauchy:
         with pytest.raises(ValueError):
             endpoint_cauchy_analysis(traj, 1.0)
 
-
-class TestConvergenceThreshold:
-    def test_frozen_value(self):
-        assert geometric_convergence_threshold(0.1, 0.1) == pytest.approx(
-            THRESHOLD_01_01, rel=1e-14
-        )
-
-    def test_vanishes_as_delta_to_one(self):
-        assert geometric_convergence_threshold(0.1, 1.0 - 1e-9) < 1e-9
-
-    def test_linear_in_l(self):
-        base = geometric_convergence_threshold(0.05, 0.3)
-        assert geometric_convergence_threshold(0.1, 0.3) == pytest.approx(
-            2.0 * base, rel=1e-13
-        )
-
-    def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError):
-            geometric_convergence_threshold(0.1, 1.0)
-        with pytest.raises(ValueError):
-            geometric_convergence_threshold(0.1, 0.0)
